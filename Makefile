@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short vet race verify bench bench-check smoke smoke-fleet smoke-ha smoke-overload fuzz sim-cluster sim-cluster-deep
+.PHONY: build test test-short vet race verify golden-paper bench bench-check smoke smoke-fleet smoke-ha smoke-overload fuzz sim-cluster sim-cluster-deep
 
 build:
 	$(GO) build ./...
@@ -19,9 +19,10 @@ vet:
 	$(GO) vet ./...
 
 # The experiment runner, pool, validate checkup, slipd server, journal
-# store, retrying client, fleet coordinator, the sim engine's pooled
-# context workers, and the omp task deques (concurrent steals under
-# injected stragglers) fan work out across goroutines; keep them
+# store, retrying client, fleet coordinator, the sim engine's coroutine
+# contexts (one per simulated processor, run by iter.Pull), and the omp
+# task deques (concurrent steals under injected stragglers) fan work out
+# across goroutines; keep them
 # race-clean. -short skips only the paper-scale shape tests (simulation
 # numbers, no extra concurrency), so every racy path is still exercised
 # and the instrumented run stays within the go test timeout.
@@ -30,10 +31,18 @@ race:
 
 verify: build test vet race
 
+# Paper-scale golden check: `slipsim -experiment all` (16 CMPs, paper
+# scale, Table 1/2 and Fig 2-5) must print exactly the committed
+# experiment_results.txt, so any change to a simulated cycle count fails.
+golden-paper:
+	mkdir -p bin
+	$(GO) run ./cmd/slipsim -experiment all -q > bin/experiment_results.txt
+	cmp bin/experiment_results.txt experiment_results.txt
+
 # Benchmark baselines are committed as BENCH_PR$(PR).json, one per PR that
 # moves performance. BENCHTIME is multi-iteration on purpose: -benchtime=1x
 # made ns/op a single noisy sample and the ratchet flapped.
-PR ?= 7
+PR ?= 12
 BENCH_OUT ?= BENCH_PR$(PR).json
 BENCHTIME ?= 3x
 BENCH_COUNT ?= 2

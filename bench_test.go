@@ -5,7 +5,9 @@ package repro
 // suite completes in minutes; the experiment harness (cmd/slipsim
 // -experiment all) runs the paper-scale 16-CMP matrix. Simulated cycles
 // and derived percentages are attached as benchmark metrics, so
-// `go test -bench=.` prints the figure series alongside host-side cost.
+// `go test -bench=.` prints the figure series alongside host-side cost;
+// the engine's deterministic work counters ride along as events/op and
+// handoffs/op.
 
 import (
 	"testing"
@@ -26,8 +28,17 @@ func benchParams() machine.Params {
 	return p
 }
 
-// benchRun executes one kernel/config run per iteration and reports the
-// simulated wall-clock cycles.
+// reportWork attaches a run's deterministic work: simulated cycles and the
+// engine's popped events and context handoffs. benchjson records all three
+// and benchdiff gates them exactly.
+func reportWork(b *testing.B, cycles, events, handoffs uint64) {
+	b.ReportMetric(float64(cycles), "sim-cycles")
+	b.ReportMetric(float64(events), "events/op")
+	b.ReportMetric(float64(handoffs), "handoffs/op")
+}
+
+// benchRun executes one kernel/config run per iteration and reports its
+// work counters.
 func benchRun(b *testing.B, kernel string, cfg omp.Config) experiments.Result {
 	b.Helper()
 	k, err := npb.ByName(kernel)
@@ -45,7 +56,7 @@ func benchRun(b *testing.B, kernel string, cfg omp.Config) experiments.Result {
 		}
 		last = r
 	}
-	b.ReportMetric(float64(last.Wall), "sim-cycles")
+	reportWork(b, last.Wall, last.Events, last.Handoffs)
 	return last
 }
 
@@ -228,7 +239,7 @@ func BenchmarkAblationAffinity(b *testing.B) {
 	for _, name := range []string{"dynamic", "affinity"} {
 		name := name
 		b.Run(name, func(b *testing.B) {
-			var last uint64
+			var last *omp.Runtime
 			for i := 0; i < b.N; i++ {
 				rt, err := omp.New(omp.Config{Machine: p, Mode: core.ModeSingle})
 				if err != nil {
@@ -252,9 +263,9 @@ func BenchmarkAblationAffinity(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				last = rt.M.WallTime()
+				last = rt
 			}
-			b.ReportMetric(float64(last), "sim-cycles")
+			reportWork(b, last.M.WallTime(), last.M.Eng.Events(), last.M.Eng.Handoffs())
 		})
 	}
 }
@@ -297,7 +308,7 @@ func BenchmarkExtensionEP(b *testing.B) {
 	}{{"Static", omp.Static}, {"Dynamic", omp.Dynamic}} {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
-			var last uint64
+			var last *omp.Runtime
 			for i := 0; i < b.N; i++ {
 				rt, err := omp.New(omp.Config{Machine: p, Mode: core.ModeSingle, Sched: tc.sched, Chunk: 2})
 				if err != nil {
@@ -310,9 +321,9 @@ func BenchmarkExtensionEP(b *testing.B) {
 				if err := inst.Verify(); err != nil {
 					b.Fatal(err)
 				}
-				last = rt.M.WallTime()
+				last = rt
 			}
-			b.ReportMetric(float64(last), "sim-cycles")
+			reportWork(b, last.M.WallTime(), last.M.Eng.Events(), last.M.Eng.Handoffs())
 		})
 	}
 }

@@ -51,7 +51,13 @@ type Entry struct {
 type Directory struct {
 	nodes   int
 	entries map[uint64]*Entry
+	slab    []Entry // unused entries, handed out by Entry
 }
+
+// slabEntries is how many entries one allocation provides, so creating
+// entries for a run's working set costs one allocation per slab rather
+// than one per line.
+const slabEntries = 256
 
 // New returns a directory for a machine with the given node count
 // (at most 64, the sharer bitmask width).
@@ -72,7 +78,12 @@ func (d *Directory) Home(line uint64) int { return int(line % uint64(d.nodes)) }
 func (d *Directory) Entry(line uint64) *Entry {
 	e := d.entries[line]
 	if e == nil {
-		e = &Entry{State: Uncached, Owner: -1}
+		if len(d.slab) == 0 {
+			d.slab = make([]Entry, slabEntries)
+		}
+		e = &d.slab[0]
+		d.slab = d.slab[1:]
+		*e = Entry{State: Uncached, Owner: -1}
 		d.entries[line] = e
 	}
 	return e

@@ -86,6 +86,11 @@ type Result struct {
 	Faults     uint64 // faults injected by the run's plan (0 when unarmed)
 	TasksRun   uint64 // explicit tasks executed (0 for non-tasking kernels)
 	Steals     uint64 // task deque steals (0 for non-tasking kernels)
+
+	// Engine work counters (sim.Engine Events/Handoffs): deterministic
+	// host-cost proxies for benchmarks. No rendering prints them.
+	Events   uint64
+	Handoffs uint64
 }
 
 // runConfig names one execution configuration of the suite.
@@ -140,6 +145,8 @@ func RunOne(k npb.Kernel, name string, cfg omp.Config, scale npb.Scale, verify b
 		Faults:     rt.FaultsInjected(),
 		TasksRun:   rt.TasksExecuted(),
 		Steals:     rt.TaskSteals(),
+		Events:     rt.M.Eng.Events(),
+		Handoffs:   rt.M.Eng.Handoffs(),
 	}, nil
 }
 

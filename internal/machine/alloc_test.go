@@ -35,7 +35,7 @@ func loadStoreAllocs(t *testing.T, accesses int) float64 {
 // category accounting, and the scratch-buffer sharer lists — a regression
 // fails go test directly, not just the bench ratchet.
 func TestLoadStoreRoundTripAllocFree(t *testing.T) {
-	// One throwaway run warms the sim worker pool and lazy tables.
+	// One throwaway run warms lazy tables.
 	loadStoreAllocs(t, 10)
 	small := loadStoreAllocs(t, 100)
 	large := loadStoreAllocs(t, 10100)

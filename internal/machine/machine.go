@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/directory"
@@ -44,6 +45,8 @@ type Node struct {
 	DC    *sim.Resource // home directory controller (NILocalDCTime occupancy)
 	Procs [2]*Proc
 	Regs  PairRegs
+
+	res [5]sim.Resource // storage behind Bus, NIIn, NIOut, Mem and DC
 }
 
 // BusIdle reports whether the node bus is free at the current time; the
@@ -121,23 +124,25 @@ func New(p Params) *Machine {
 	for 1<<m.lineShift != p.LineBytes {
 		m.lineShift++
 	}
-	for n := 0; n < p.Nodes; n++ {
-		nd := &Node{
-			ID:    n,
-			M:     m,
-			L2:    cache.New(fmt.Sprintf("L2.%d", n), p.L2Bytes, p.L2Assoc, p.LineBytes),
-			Bus:   sim.NewResource(fmt.Sprintf("bus.%d", n)),
-			NIIn:  sim.NewResource(fmt.Sprintf("ni-in.%d", n)),
-			NIOut: sim.NewResource(fmt.Sprintf("ni-out.%d", n)),
-			Mem:   sim.NewResource(fmt.Sprintf("mem.%d", n)),
-			DC:    sim.NewResource(fmt.Sprintf("dc.%d", n)),
+	// One allocation each for all nodes and all processors, rather than
+	// one per node, processor and resource.
+	nodes := make([]Node, p.Nodes)
+	procs := make([]Proc, 2*p.Nodes)
+	for n := range nodes {
+		nm := &nodeNames[n]
+		nd := &nodes[n]
+		*nd = Node{ID: n, M: m, L2: cache.New(nm.l2, p.L2Bytes, p.L2Assoc, p.LineBytes)}
+		for i, name := range [5]string{nm.bus, nm.niIn, nm.niOut, nm.mem, nm.dc} {
+			nd.res[i] = *sim.NewResource(name)
 		}
+		nd.Bus, nd.NIIn, nd.NIOut, nd.Mem, nd.DC = &nd.res[0], &nd.res[1], &nd.res[2], &nd.res[3], &nd.res[4]
 		for c := 0; c < 2; c++ {
-			pr := &Proc{
+			pr := &procs[n*2+c]
+			*pr = Proc{
 				GID:  n*2 + c,
 				CPU:  c,
 				Node: nd,
-				L1:   cache.New(fmt.Sprintf("L1.%d.%d", n, c), p.L1Bytes, p.L1Assoc, p.LineBytes),
+				L1:   cache.New(nm.l1[c], p.L1Bytes, p.L1Assoc, p.LineBytes),
 				cat:  stats.CatMem,
 			}
 			nd.Procs[c] = pr
@@ -147,6 +152,27 @@ func New(p Params) *Machine {
 	}
 	return m
 }
+
+// nodeNameSet is one node's preformatted cache and resource names.
+type nodeNameSet struct {
+	l2, bus, niIn, niOut, mem, dc string
+	l1                            [2]string
+}
+
+// nodeNames holds the names for every possible node (at most 64), so New
+// does not format per run.
+var nodeNames = func() [64]nodeNameSet {
+	var names [64]nodeNameSet
+	for n := range names {
+		id := strconv.Itoa(n)
+		names[n] = nodeNameSet{
+			l2: "L2." + id, bus: "bus." + id, niIn: "ni-in." + id,
+			niOut: "ni-out." + id, mem: "mem." + id, dc: "dc." + id,
+			l1: [2]string{"L1." + id + ".0", "L1." + id + ".1"},
+		}
+	}
+	return names
+}()
 
 // LineOf maps an address to its cache line number.
 func (m *Machine) LineOf(addr shmem.Addr) uint64 { return uint64(addr) >> m.lineShift }
@@ -176,6 +202,9 @@ func (m *Machine) Start(gid int, body func(*Proc)) {
 // Run executes the simulation to completion, then classifies any
 // still-resident unused fills (Figure 3/5 "Only" category).
 func (m *Machine) Run() error {
+	// A panicking processor propagates out of Eng.Run with the others
+	// still parked; Close unwinds them so they do not outlive the run.
+	defer m.Eng.Close()
 	if err := m.Eng.Run(); err != nil {
 		return err
 	}
@@ -214,7 +243,7 @@ func (m *Machine) CheckCoherence() error {
 				err = fmt.Errorf("machine: line %#x: directory owner %d has no modified copy", line, e.Owner)
 			}
 		case directory.SharedSt:
-			for _, n := range e.OtherSharers(-1) {
+			for _, n := range e.AppendOtherSharers(m.sharerScratch[:0], -1) {
 				l := m.Nodes[n].L2.Peek(line)
 				if l == nil || l.State != cache.Shared {
 					err = fmt.Errorf("machine: line %#x: directory sharer %d has no shared copy", line, n)

@@ -510,3 +510,30 @@ func TestWallTime(t *testing.T) {
 		t.Fatalf("wall time = %d, want 500", m.WallTime())
 	}
 }
+
+// A panic in one processor's program reaches the caller of Run, and the
+// processors still parked are unwound rather than left behind.
+func TestRunPanicReleasesParkedProcs(t *testing.T) {
+	m := small()
+	unwound := false
+	m.Start(0, func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Compute(1000)
+	})
+	m.Start(1, func(p *Proc) {
+		p.Compute(10)
+		panic("kernel bug")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "kernel bug" {
+				t.Fatalf("Run panicked with %v, want \"kernel bug\"", r)
+			}
+		}()
+		_ = m.Run()
+		t.Fatal("Run returned instead of panicking")
+	}()
+	if !unwound || !m.Eng.Finished() {
+		t.Fatalf("parked processor not unwound (unwound=%v finished=%v)", unwound, m.Eng.Finished())
+	}
+}

@@ -70,7 +70,6 @@ func taskRunAllocs(t *testing.T, n int) float64 {
 // share one closure. Only the constant setup cost may differ between a
 // 100-task and a 6100-task run.
 func TestTaskSchedulingAllocFree(t *testing.T) {
-	taskRunAllocs(t, 10) // warm the sim worker pool
 	small := taskRunAllocs(t, 100)
 	large := taskRunAllocs(t, 6100)
 	slope := (large - small) / 6000
@@ -86,7 +85,6 @@ func TestTaskSchedulingAllocFree(t *testing.T) {
 // regression in the runtime, machine, or sim layers fails this test
 // directly, independent of the bench ratchet.
 func TestStaticScheduleIterationAllocFree(t *testing.T) {
-	staticRunAllocs(t, 10) // warm the sim worker pool
 	small := staticRunAllocs(t, 100)
 	large := staticRunAllocs(t, 10100)
 	slope := (large - small) / 10000

@@ -197,6 +197,10 @@ func (e *backpressureError) Unwrap() error { return ErrBackpressure }
 type SubmitOutcome struct {
 	Dedup  bool // coalesced onto an existing in-flight job
 	Cached bool // answered from the result cache
+
+	// view is the job as the submission left it: a new job reads queued
+	// even if a worker has started it by the time the caller replies.
+	view JobView
 }
 
 // apiKeyFrom extracts the tenant API key from a request: X-API-Key,
@@ -234,7 +238,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		priority: c.priority,
 		charge:   true,
 	}
-	j, out, err := s.register(c, key, sub)
+	_, out, err := s.register(c, key, sub)
 	switch {
 	case errors.Is(err, ErrDraining):
 		httpError(w, http.StatusServiceUnavailable, err)
@@ -262,9 +266,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 		httpError(w, http.StatusServiceUnavailable, err)
 	case out.Dedup:
-		writeJSON(w, http.StatusOK, submitResponse{Job: j.snapshot(), Dedup: true})
+		writeJSON(w, http.StatusOK, submitResponse{Job: out.view, Dedup: true})
 	default:
-		writeJSON(w, http.StatusCreated, submitResponse{Job: j.snapshot(), Cached: out.Cached})
+		writeJSON(w, http.StatusCreated, submitResponse{Job: out.view, Cached: out.Cached})
 	}
 }
 
@@ -289,11 +293,11 @@ func (s *Server) SubmitJSON(specJSON []byte) (JobView, SubmitOutcome, error) {
 	// Fleet-claim executions queue under the spec's own priority but are
 	// not charged admission: the originating coordinator already charged
 	// the submitting tenant when it accepted the work.
-	j, out, err := s.register(c, key, submission{priority: c.priority})
+	_, out, err := s.register(c, key, submission{priority: c.priority})
 	if err != nil {
 		return JobView{}, out, err
 	}
-	return j.snapshot(), out, nil
+	return out.view, out, nil
 }
 
 // CacheKeyFor compiles a spec and returns the content-addressed cache
@@ -343,7 +347,7 @@ func (s *Server) register(c *compiledSpec, key string, sub submission) (*Job, Su
 		// A higher-priority identical submission lifts the queued job
 		// out of the bulk class instead of waiting behind it.
 		s.sched.promote(j, sub.priority)
-		return j, SubmitOutcome{Dedup: true}, nil
+		return j, SubmitOutcome{Dedup: true, view: j.snapshot()}, nil
 	}
 
 	// Content-addressed cache: determinism means an equal key is an equal
@@ -364,7 +368,7 @@ func (s *Server) register(c *compiledSpec, key string, sub submission) (*Job, Su
 		// result — the bytes are already durable under the key.
 		s.journalAppend(store.Record{Job: j.ID, Key: key, State: string(StateDone), Cached: true, Spec: specJSON(c.spec), Tenant: sub.tenant, Priority: PriorityName(sub.priority), Campaign: sub.campaign, Cell: sub.cell}, false)
 		s.mu.Unlock()
-		return j, SubmitOutcome{Cached: true}, nil
+		return j, SubmitOutcome{Cached: true, view: j.snapshot()}, nil
 	}
 
 	// Replication-lag backpressure: a coordinator whose peers are all
@@ -379,6 +383,7 @@ func (s *Server) register(c *compiledSpec, key string, sub submission) (*Job, Su
 	}
 
 	j := s.newJobLocked(key, c.spec, StateQueued, sub)
+	view := j.snapshot() // before a worker can pick it up
 	if err := s.sched.submit(j, sub.charge); err != nil {
 		// Refused admission: roll the registration back and shed load.
 		delete(s.jobs, j.ID)
@@ -393,7 +398,7 @@ func (s *Server) register(c *compiledSpec, key string, sub submission) (*Job, Su
 	s.metrics.jobCreated(StateQueued)
 	s.journalAppend(store.Record{Job: j.ID, Key: key, State: string(StateQueued), Attempts: 1, Spec: specJSON(c.spec), Tenant: sub.tenant, Priority: PriorityName(sub.priority), Campaign: sub.campaign, Cell: sub.cell}, false)
 	s.mu.Unlock()
-	return j, SubmitOutcome{}, nil
+	return j, SubmitOutcome{view: view}, nil
 }
 
 // newJobLocked registers a job under the next ID. Caller holds s.mu.
@@ -601,11 +606,16 @@ func (s *Server) runJob(j *Job) {
 		// Order matters across a crash: persist the bytes, then journal
 		// the terminal state (fsync'd). A done record therefore always
 		// has its result on disk; the reverse gap only costs a re-run.
+		// The job leaves the single-flight index once its bytes are cached
+		// and before it turns done, so a client that sees it done and
+		// resubmits gets the cache answer, not a dedup onto this job.
 		s.cachePut(j.Key, result)
+		s.clearInflight(j)
 		j.finish(result, "")
 		s.metrics.jobTransition(StateRunning, StateDone)
 		s.journalAppend(store.Record{Job: j.ID, Key: j.Key, State: string(StateDone), Attempts: attempts}, true)
 	} else {
+		s.clearInflight(j)
 		j.finish(nil, err.Error())
 		s.metrics.jobTransition(StateRunning, StateFailed)
 		s.journalAppend(store.Record{Job: j.ID, Key: j.Key, State: string(StateFailed), Error: err.Error(), Attempts: attempts}, true)
@@ -613,7 +623,6 @@ func (s *Server) runJob(j *Job) {
 	if c != nil {
 		s.metrics.observeLatency(c.label(), elapsed)
 	}
-	s.clearInflight(j)
 	j.broker.close()
 }
 

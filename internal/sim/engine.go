@@ -1,26 +1,34 @@
+//go:build go1.23
+
 // Package sim provides a deterministic discrete-event simulation engine
-// with coroutine-style execution contexts.
+// with coroutine execution contexts.
 //
 // The engine drives a set of contexts (simulated processors). Exactly one
 // context runs at any instant: the engine pops the earliest event from its
-// heap, transfers control to the owning context, and the context runs real
-// Go code until it needs simulated time to pass, at which point it parks
-// itself and control returns to the engine. Ties in event time are broken
-// by event sequence number, so a given program produces an identical event
+// heap and resumes the owning context, and the context runs real Go code
+// until it needs simulated time to pass, at which point it parks itself
+// and control returns to the engine. Ties in event time are broken by
+// event sequence number, so a given program produces an identical event
 // order on every run. Because only one context executes at a time, code
 // running inside contexts may freely share simulator data structures
 // without locks.
 //
-// The event heap and context plumbing are allocation-free on the hot path:
-// events are plain values in a concrete 4-ary heap (no container/heap
-// interface boxing), and the goroutine + channel pair backing each context
-// is pooled across engines, so repeated simulation runs reuse the same
-// parked workers instead of spawning fresh ones.
+// Each context body runs inside an iter.Pull coroutine: resuming a context
+// is a call to its next function and parking is a yield, a direct switch
+// between the engine and the context with no channel or scheduler round
+// trip. A panic in a context body therefore surfaces from Engine.Run on
+// the caller's goroutine. The event heap is allocation-free on the hot
+// path: events are plain values in a concrete 4-ary heap (no
+// container/heap interface boxing).
+//
+// The build constraint raises this file's language version to go1.23, the
+// release that added iter.Pull, while go.mod keeps the module at go 1.22
+// so that modules pinned at go 1.22 (perfbench) can still depend on it.
 package sim
 
 import (
 	"fmt"
-	"sync"
+	"iter"
 )
 
 // Time is a simulation timestamp, measured in processor clock cycles.
@@ -106,20 +114,26 @@ type Engine struct {
 	seq      uint64
 	events   eventHeap
 	contexts []*Context
-	yield    chan struct{} // contexts signal the engine here when parking
 	running  bool
+	popped   uint64 // events popped by Run
+	handoffs uint64 // context resumes by Run
 }
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{
-		yield:  make(chan struct{}),
-		events: eventHeap{ev: make([]event, 0, initialHeapCap)},
-	}
+	return &Engine{events: eventHeap{ev: make([]event, 0, initialHeapCap)}}
 }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
+
+// Events returns how many events Run has popped, callbacks and context
+// wake-ups alike. Like every simulated quantity it is deterministic.
+func (e *Engine) Events() uint64 { return e.popped }
+
+// Handoffs returns how many times Run has resumed a context: one per
+// context start plus one per park that was woken.
+func (e *Engine) Handoffs() uint64 { return e.handoffs }
 
 // schedule enqueues an event at absolute time at.
 func (e *Engine) schedule(at Time, ctx *Context, fn func()) {
@@ -138,9 +152,18 @@ func (e *Engine) At(at Time, fn func()) { e.schedule(at, nil, fn) }
 // Contexts must be spawned before Run (or from a running context or
 // callback); fn receives the context for parking operations.
 func (e *Engine) Spawn(name string, start Time, fn func(*Context)) *Context {
-	w := getWorker()
-	c := &Context{eng: e, name: name, run: w.run, fn: fn}
-	w.c = c
+	c := &Context{eng: e, name: name}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(abortPark); !ok {
+					panic(r)
+				}
+			}
+		}()
+		fn(c)
+	})
 	e.contexts = append(e.contexts, c)
 	e.schedule(start, c, nil)
 	return c
@@ -150,8 +173,9 @@ func (e *Engine) Spawn(name string, start Time, fn func(*Context)) *Context {
 // unfinished contexts remain when the heap drains (a deadlock: some context
 // parked without a scheduled wake-up, which indicates a bug in the caller's
 // synchronization code). On the deadlock path the engine tears the parked
-// contexts down before returning, so their goroutines are reclaimed instead
-// of leaking blocked on a dispatch that will never come.
+// contexts down before returning, so their coroutines are released instead
+// of leaking suspended on a resume that will never come. A panic in a
+// context body propagates out of Run; Close then releases the rest.
 func (e *Engine) Run() error {
 	if e.running {
 		return fmt.Errorf("sim: engine already running")
@@ -161,6 +185,7 @@ func (e *Engine) Run() error {
 	for len(e.events.ev) > 0 {
 		ev := e.events.pop()
 		e.now = ev.at
+		e.popped++
 		if ev.fn != nil {
 			ev.fn()
 			continue
@@ -169,8 +194,10 @@ func (e *Engine) Run() error {
 		if c.finished {
 			continue
 		}
-		c.run <- struct{}{}
-		<-e.yield
+		e.handoffs++
+		if _, ok := c.next(); !ok {
+			c.finished = true
+		}
 	}
 	for _, c := range e.contexts {
 		if !c.finished {
@@ -182,12 +209,12 @@ func (e *Engine) Run() error {
 	return nil
 }
 
-// Close tears down any unfinished contexts, releasing their goroutines back
-// to the worker pool. It is a no-op on an engine whose contexts all ran to
-// completion; Run invokes it automatically when it detects a deadlock, so
-// explicit calls are only needed when an engine is abandoned without being
-// run (or after Run returned an unrelated error). Close must not be called
-// while Run is executing.
+// Close tears down any unfinished contexts, releasing their coroutines. It
+// is a no-op on an engine whose contexts all ran to completion; Run invokes
+// it automatically when it detects a deadlock, so explicit calls are only
+// needed when an engine is abandoned without being run (or after Run
+// returned an unrelated error or panicked). Close must not be called while
+// Run is executing.
 func (e *Engine) Close() {
 	if e.running {
 		panic("sim: Close called on a running engine")
@@ -195,17 +222,16 @@ func (e *Engine) Close() {
 	e.teardown()
 }
 
-// teardown aborts every unfinished context: each is dispatched one last
-// time with the abort flag set, unwinds out of its call stack (via the
-// abortPark panic recovered by its worker), and yields back finished.
+// teardown stops every unfinished context. A parked context's yield
+// returns false and it unwinds out of its call stack via the abortPark
+// panic, running its deferred cleanups; a context whose body never
+// started is just marked done.
 func (e *Engine) teardown() {
 	for _, c := range e.contexts {
-		if c.finished {
-			continue
+		if !c.finished {
+			c.stop()
+			c.finished = true
 		}
-		c.aborted = true
-		c.run <- struct{}{}
-		<-e.yield
 	}
 }
 
@@ -219,94 +245,18 @@ func (e *Engine) Finished() bool {
 	return true
 }
 
-// ---- Context worker pool ----------------------------------------------------
-
-// worker owns the goroutine and run channel a context executes on. Workers
-// are pooled across engines: when a context finishes, its worker parks on
-// the free list and the next Spawn (from any engine) reuses it, so the
-// per-run cost of standing up a machine does not include goroutine and
-// channel churn — and, because aborted contexts unwind back to their
-// worker, even deadlocked runs return their goroutines to the pool.
-type worker struct {
-	run chan struct{}
-	c   *Context // context currently bound to this worker
-}
-
-// workerPool is a bounded free list rather than a sync.Pool: a sync.Pool
-// may drop entries at GC, which would strand each dropped worker's
-// goroutine blocked on a run channel nobody holds. Overflow workers simply
-// exit their goroutine.
-var workerPool struct {
-	sync.Mutex
-	free []*worker
-}
-
-// maxPooledWorkers bounds the free list. Sized for the largest concurrent
-// simulation fan-out (64 nodes × 2 procs × a worker-pool of runs).
-const maxPooledWorkers = 1024
-
-func getWorker() *worker {
-	workerPool.Lock()
-	if n := len(workerPool.free); n > 0 {
-		w := workerPool.free[n-1]
-		workerPool.free[n-1] = nil
-		workerPool.free = workerPool.free[:n-1]
-		workerPool.Unlock()
-		return w
-	}
-	workerPool.Unlock()
-	w := &worker{run: make(chan struct{})}
-	go w.loop()
-	return w
-}
-
-// abortPark is the panic value used to unwind an aborted context out of a
-// park point; it never escapes the worker's recover.
+// abortPark is the panic value used to unwind a stopped context out of a
+// park point; it never escapes the coroutine that raised it.
 type abortPark struct{}
-
-// loop is the worker goroutine: receive a dispatch, run the bound context's
-// body to completion (or unwind it on abort), yield, then return to the
-// pool for the next Spawn.
-func (w *worker) loop() {
-	for {
-		<-w.run
-		c := w.c
-		if !c.aborted {
-			c.runBody()
-		}
-		c.finished = true
-		c.eng.yield <- struct{}{}
-		w.c = nil
-		workerPool.Lock()
-		if len(workerPool.free) >= maxPooledWorkers {
-			workerPool.Unlock()
-			return
-		}
-		workerPool.free = append(workerPool.free, w)
-		workerPool.Unlock()
-	}
-}
-
-// runBody executes the context function, absorbing the abort unwind.
-func (c *Context) runBody() {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(abortPark); !ok {
-				panic(r)
-			}
-		}
-	}()
-	c.fn(c)
-}
 
 // Context is a simulated thread of execution managed by an Engine.
 type Context struct {
 	eng      *Engine
 	name     string
-	run      chan struct{} // the bound worker's dispatch channel
-	fn       func(*Context)
+	next     func() (struct{}, bool) // resumes the body until it parks or returns
+	stop     func()                  // unwinds a parked body, or cancels an unstarted one
+	yield    func(struct{}) bool     // parks the body; false once stop was called
 	finished bool
-	aborted  bool
 }
 
 // Name returns the context's debug name.
@@ -318,12 +268,10 @@ func (c *Context) Engine() *Engine { return c.eng }
 // Now returns the current simulation time.
 func (c *Context) Now() Time { return c.eng.now }
 
-// park suspends the context until the engine dispatches it again. If the
-// engine is tearing down, the context unwinds instead of resuming.
+// park suspends the context until the engine resumes it. If the engine is
+// tearing down, the context unwinds instead of resuming.
 func (c *Context) park() {
-	c.eng.yield <- struct{}{}
-	<-c.run
-	if c.aborted {
+	if !c.yield(struct{}{}) {
 		panic(abortPark{})
 	}
 }

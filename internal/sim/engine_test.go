@@ -240,10 +240,9 @@ func deadlockRun(t *testing.T) {
 
 func TestDeadlockReported(t *testing.T) { deadlockRun(t) }
 
-// Repeated deadlock-path runs must not accumulate goroutines: the engine
-// teardown unwinds parked contexts and their workers return to the pool.
+// Repeated deadlock-path runs must not accumulate goroutines: teardown
+// stops every parked context, which ends its coroutine.
 func TestDeadlockTeardownDoesNotLeakGoroutines(t *testing.T) {
-	deadlockRun(t) // warm the worker pool
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	const runs = 50
@@ -252,9 +251,7 @@ func TestDeadlockTeardownDoesNotLeakGoroutines(t *testing.T) {
 	}
 	runtime.GC()
 	after := runtime.NumGoroutine()
-	// Pooled workers persist by design (bounded), so allow a little slack —
-	// but nothing close to one leaked goroutine per deadlocked run.
-	if after > before+10 {
+	if after > before {
 		t.Fatalf("goroutines grew %d -> %d over %d deadlock runs", before, after, runs)
 	}
 }
@@ -274,6 +271,71 @@ func TestTeardownRunsDeferredCleanups(t *testing.T) {
 	}
 	if !cleaned {
 		t.Fatal("deferred cleanup did not run during teardown")
+	}
+}
+
+// A panic in a context body that is not a teardown unwind surfaces from
+// Run on the caller's goroutine with its original value; the engine is
+// left idle and Close releases the contexts that were still parked.
+func TestContextPanicSurfacesFromRun(t *testing.T) {
+	e := NewEngine()
+	cleaned := false
+	e.Spawn("parked", 0, func(c *Context) {
+		defer func() { cleaned = true }()
+		c.Advance(100)
+	})
+	e.Spawn("boom", 0, func(c *Context) {
+		c.Advance(1)
+		panic("boom")
+	})
+	e.Spawn("unstarted", 50, func(c *Context) { t.Error("body ran after the panic") })
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("Run panicked with %v, want \"boom\"", r)
+			}
+		}()
+		_ = e.Run()
+		t.Fatal("Run returned instead of panicking")
+	}()
+	if e.running {
+		t.Fatal("engine still marked running after the panic")
+	}
+	if e.Finished() {
+		t.Fatal("parked contexts reported finished before Close")
+	}
+	e.Close()
+	if !e.Finished() {
+		t.Fatal("Close left unfinished contexts")
+	}
+	if !cleaned {
+		t.Fatal("Close did not unwind the parked context")
+	}
+}
+
+// The work counters are deterministic: a fixed two-context program pops
+// and resumes exactly the same number of times on every run.
+func TestEngineWorkCounters(t *testing.T) {
+	e := NewEngine()
+	e.At(12, func() {})
+	e.Spawn("a", 0, func(c *Context) {
+		c.Advance(10)
+		c.Advance(20)
+	})
+	e.Spawn("b", 5, func(c *Context) {
+		c.Advance(15)
+		c.WaitUntil(18) // already past: no park
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// a: start, wake at 10, wake at 30; b: start at 5, wake at 20;
+	// plus the callback at 12.
+	if got := e.Events(); got != 6 {
+		t.Errorf("Events() = %d, want 6", got)
+	}
+	if got := e.Handoffs(); got != 5 {
+		t.Errorf("Handoffs() = %d, want 5", got)
 	}
 }
 
@@ -309,12 +371,6 @@ func TestCloseAfterCleanRunIsNoop(t *testing.T) {
 // per-run budget covers engine construction only and must not scale with
 // the event count.
 func TestEventDispatchAllocFree(t *testing.T) {
-	// Warm the worker pool so the first-ever goroutine spawn is excluded.
-	warm := NewEngine()
-	warm.Spawn("warm", 0, func(c *Context) { c.Advance(1) })
-	if err := warm.Run(); err != nil {
-		t.Fatal(err)
-	}
 	const events = 2000
 	avg := testing.AllocsPerRun(10, func() {
 		e := NewEngine()

@@ -10,6 +10,12 @@
 // tight gate; ns/op is host-timing dependent and may be given a looser one
 // via -ns-tol.
 //
+// The work counters the simulator benchmarks report (sim-cycles,
+// events/op, handoffs/op) are exact functions of the simulated program, so
+// when the baseline has one, any change to it fails — a faster engine must
+// do the same work. Changing them on purpose means committing a new
+// baseline.
+//
 // A benchmark present in the baseline but missing from the candidate is a
 // failure too: silently dropping a gated benchmark must not pass the
 // ratchet.
@@ -33,6 +39,10 @@ type Bench struct {
 	NsPerOp     float64 `json:"ns_op"`
 	BytesPerOp  int64   `json:"bytes_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_op,omitempty"`
+
+	SimCycles     int64 `json:"sim_cycles,omitempty"`
+	EventsPerOp   int64 `json:"events_op,omitempty"`
+	HandoffsPerOp int64 `json:"handoffs_op,omitempty"`
 }
 
 // metrics is the min-of-N aggregate of one benchmark's rows.
@@ -42,6 +52,9 @@ type metrics struct {
 	allocs int64
 	iters  int64 // minimum iteration count observed
 	rows   int
+
+	// Work counters; deterministic, so every row should agree.
+	cycles, events, handoffs int64
 }
 
 // aggregate groups rows by name and keeps the minimum of each metric.
@@ -50,7 +63,8 @@ func aggregate(rows []Bench) map[string]*metrics {
 	for _, r := range rows {
 		m := out[r.Name]
 		if m == nil {
-			out[r.Name] = &metrics{ns: r.NsPerOp, bytes: r.BytesPerOp, allocs: r.AllocsPerOp, iters: r.Iterations, rows: 1}
+			out[r.Name] = &metrics{ns: r.NsPerOp, bytes: r.BytesPerOp, allocs: r.AllocsPerOp, iters: r.Iterations, rows: 1,
+				cycles: r.SimCycles, events: r.EventsPerOp, handoffs: r.HandoffsPerOp}
 			continue
 		}
 		m.rows++
@@ -66,6 +80,9 @@ func aggregate(rows []Bench) map[string]*metrics {
 		if r.Iterations < m.iters {
 			m.iters = r.Iterations
 		}
+		m.cycles = min(m.cycles, r.SimCycles)
+		m.events = min(m.events, r.EventsPerOp)
+		m.handoffs = min(m.handoffs, r.HandoffsPerOp)
 	}
 	return out
 }
@@ -98,6 +115,20 @@ func compare(base, cand map[string]*metrics, nsTol, allocsTol float64) ([]findin
 		if bad, msg := gateInt(c.allocs, b.allocs, allocsTol, "allocs/op"); bad {
 			out = append(out, finding{n, msg, true})
 			failed = true
+		}
+		for _, w := range []struct {
+			label      string
+			base, cand int64
+		}{
+			{"sim-cycles", b.cycles, c.cycles},
+			{"events/op", b.events, c.events},
+			{"handoffs/op", b.handoffs, c.handoffs},
+		} {
+			if w.base != 0 && w.cand != w.base {
+				out = append(out, finding{n, fmt.Sprintf("%s changed %d -> %d (deterministic count; any change fails)",
+					w.label, w.base, w.cand), true})
+				failed = true
+			}
 		}
 		if b.ns > 0 && c.ns > b.ns*(1+nsTol) {
 			out = append(out, finding{n, fmt.Sprintf("ns/op regressed %.0f -> %.0f (%+.1f%%, tol %.0f%%)",

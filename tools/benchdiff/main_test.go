@@ -66,6 +66,30 @@ func TestZeroAllocBaselineStaysZero(t *testing.T) {
 	}
 }
 
+func TestWorkCountersGateExact(t *testing.T) {
+	row := Bench{Name: "BenchmarkW", NsPerOp: 100, AllocsPerOp: 10, SimCycles: 5000, EventsPerOp: 800, HandoffsPerOp: 700}
+	base := metricsOf([]Bench{row})
+	if f, failed := compare(base, metricsOf([]Bench{row, row}), 0.10, 0.10); failed {
+		t.Fatalf("identical counters failed: %v", f)
+	}
+	for _, mut := range []func(*Bench){
+		func(b *Bench) { b.SimCycles++ },
+		func(b *Bench) { b.EventsPerOp-- }, // fewer is a change too
+		func(b *Bench) { b.HandoffsPerOp = 0 },
+	} {
+		cand := row
+		mut(&cand)
+		if _, failed := compare(base, metricsOf([]Bench{cand}), 0.10, 0.10); !failed {
+			t.Fatalf("counter change %+v passed the exact gate", cand)
+		}
+	}
+	// A baseline without counters gates nothing on them.
+	old := metricsOf([]Bench{{Name: "BenchmarkW", NsPerOp: 100, AllocsPerOp: 10}})
+	if f, failed := compare(old, metricsOf([]Bench{row}), 0.10, 0.10); failed {
+		t.Fatalf("counters gated against a baseline that lacks them: %v", f)
+	}
+}
+
 func TestLatestBaseline(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"BENCH_PR2.json", "BENCH_PR6.json", "BENCH_PR10.json", "BENCH_candidate.json", "notes.json"} {

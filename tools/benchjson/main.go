@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -21,6 +22,12 @@ type Bench struct {
 	NsPerOp     float64 `json:"ns_op"`
 	BytesPerOp  int64   `json:"bytes_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_op,omitempty"`
+
+	// Deterministic work counters the simulator benchmarks report as
+	// custom metrics (sim-cycles, events/op, handoffs/op).
+	SimCycles     int64 `json:"sim_cycles,omitempty"`
+	EventsPerOp   int64 `json:"events_op,omitempty"`
+	HandoffsPerOp int64 `json:"handoffs_op,omitempty"`
 }
 
 func main() {
@@ -51,7 +58,8 @@ func main() {
 //
 //	BenchmarkName-8   10   123456 ns/op   512 B/op   7 allocs/op
 //
-// echoing every line through so the human-readable stream survives.
+// plus the work-counter metrics named in Bench, echoing every line through
+// so the human-readable stream survives.
 func parse(f *os.File) ([]Bench, error) {
 	var benches []Bench
 	sc := bufio.NewScanner(f)
@@ -67,7 +75,7 @@ func parse(f *os.File) ([]Bench, error) {
 		if err != nil {
 			continue
 		}
-		b := Bench{Name: fields[0], Iterations: iters}
+		b := Bench{Name: trimProcs(fields[0]), Iterations: iters}
 		for i := 2; i+1 < len(fields); i += 2 {
 			val := fields[i]
 			switch fields[i+1] {
@@ -77,6 +85,12 @@ func parse(f *os.File) ([]Bench, error) {
 				b.BytesPerOp, err = strconv.ParseInt(val, 10, 64)
 			case "allocs/op":
 				b.AllocsPerOp, err = strconv.ParseInt(val, 10, 64)
+			case "sim-cycles":
+				b.SimCycles, err = parseCount(val)
+			case "events/op":
+				b.EventsPerOp, err = parseCount(val)
+			case "handoffs/op":
+				b.HandoffsPerOp, err = parseCount(val)
 			default:
 				continue
 			}
@@ -87,4 +101,23 @@ func parse(f *os.File) ([]Bench, error) {
 		benches = append(benches, b)
 	}
 	return benches, sc.Err()
+}
+
+// trimProcs drops the -GOMAXPROCS suffix go test appends to benchmark
+// names (it appends none at GOMAXPROCS=1), so baselines recorded on hosts
+// with different core counts still match by name.
+func trimProcs(name string) string {
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i]
+		}
+	}
+	return name
+}
+
+// parseCount reads an integer count that the testing package printed as a
+// float (ReportMetric values are float64).
+func parseCount(val string) (int64, error) {
+	f, err := strconv.ParseFloat(val, 64)
+	return int64(math.Round(f)), err
 }
