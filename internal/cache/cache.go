@@ -9,7 +9,11 @@
 // maintain inclusion over its two L1s.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+	"unsafe"
+)
 
 // State is a cache line coherence state (MSI).
 type State uint8
@@ -45,15 +49,16 @@ const (
 	FillReadEx
 )
 
-// Line is one cache line's tag and metadata.
+// Line is one cache line's tag and metadata. Its fields are ordered so
+// that it packs into 32 bytes: line storage is nearly all of a
+// simulation's memory.
 type Line struct {
 	Tag     uint64 // line number (address >> lineShift); valid iff State != Invalid
-	State   State
 	lastUse uint64
 
 	// L2-only: classification of the fill that brought the line in.
-	FilledBy   int    // global proc index of the requester, -1 if untracked
 	FillDone   uint64 // simulation time at which the fill completes
+	FilledBy   int16  // global proc index of the requester, -1 if untracked
 	FillKindV  FillKind
 	UsedByPair bool // the requester's slipstream partner touched the line
 	Prefetch   bool // fill was an A-stream prefetch (store conversion)
@@ -61,6 +66,8 @@ type Line struct {
 	// L2-only: inclusion tracking over the node's two L1s.
 	L1Mask  uint8 // bit c set => local cpu c's L1 holds the line
 	L1Dirty int8  // local cpu holding the line dirty in L1, -1 if none
+
+	State State
 }
 
 // reset clears a line for reuse by a new tag.
@@ -105,14 +112,72 @@ func New(name string, sizeBytes, assoc, lineBytes int) *Cache {
 		setMask:   uint64(nsets - 1),
 		assoc:     assoc,
 		nsets:     nsets,
-		lines:     make([]Line, nsets*assoc),
+		lines:     freeLines.get(nsets * assoc),
 	}
 	for i := range c.lines {
-		c.lines[i].FilledBy = -1
-		c.lines[i].L1Dirty = -1
+		c.lines[i] = Line{FilledBy: -1, L1Dirty: -1}
 	}
 	return c
 }
+
+// Release hands the cache's line storage back for reuse by a later New.
+// The cache must not be used afterwards.
+func (c *Cache) Release() {
+	freeLines.put(c.lines)
+	c.lines = nil
+}
+
+// maxFreeLineBytes bounds the line storage kept for reuse: enough for the
+// caches of a few 16-CMP machines.
+const maxFreeLineBytes = 64 << 20
+
+// freeLines is the line storage released by finished caches, by length.
+// Line arrays are nearly all of a simulation's memory, and reusing them
+// keeps a run of simulations at a steady footprint: without it every run
+// allocates its machine's caches afresh, and how much of that the
+// collector finds live depends on how runs overlap its cycles.
+var freeLines lineFreeList
+
+type lineFreeList struct {
+	mu    sync.Mutex
+	byLen map[int][][]Line
+	bytes int
+}
+
+// get returns storage for n lines, reused when possible. Reused lines
+// hold a finished cache's state; New resets them.
+func (f *lineFreeList) get(n int) []Line {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	free := f.byLen[n]
+	if len(free) == 0 {
+		return make([]Line, n)
+	}
+	lines := free[len(free)-1]
+	f.byLen[n] = free[:len(free)-1]
+	f.bytes -= linesBytes(n)
+	return lines
+}
+
+// put keeps lines for reuse unless the free list is full.
+func (f *lineFreeList) put(lines []Line) {
+	n := len(lines)
+	if n == 0 {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.bytes+linesBytes(n) > maxFreeLineBytes {
+		return
+	}
+	if f.byLen == nil {
+		f.byLen = map[int][][]Line{}
+	}
+	f.byLen[n] = append(f.byLen[n], lines)
+	f.bytes += linesBytes(n)
+}
+
+func linesBytes(n int) int { return n * int(unsafe.Sizeof(Line{})) }
 
 // Name returns the cache's debug name.
 func (c *Cache) Name() string { return c.name }

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func mk(t *testing.T) *Cache {
@@ -192,5 +193,53 @@ func TestPropertyInsertThenFound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestReleasedStorageIsReusedClean(t *testing.T) {
+	// 4 sets × 3 ways: a geometry no other test uses, so the free list
+	// holds only what this test releases.
+	old := New("old", 4*3*64, 3, 64)
+	for line := uint64(0); line < 12; line++ {
+		l, _, _ := old.Insert(line, Modified)
+		l.FilledBy, l.L1Mask, l.L1Dirty, l.Prefetch = 1, 3, 0, true
+	}
+	storage := &old.lines[0]
+	old.Release()
+	if old.lines != nil {
+		t.Fatal("released cache kept its lines")
+	}
+	c := New("new", 4*3*64, 3, 64)
+	if &c.lines[0] != storage {
+		t.Fatal("New did not reuse released storage")
+	}
+	for i, l := range c.lines {
+		if l != (Line{FilledBy: -1, L1Dirty: -1}) {
+			t.Fatalf("reused line %d = %+v, want reset", i, l)
+		}
+	}
+	if c.Lookup(3) != nil {
+		t.Fatal("reused cache hit a line of the released one")
+	}
+}
+
+func TestFreeListBounded(t *testing.T) {
+	f := lineFreeList{bytes: maxFreeLineBytes - linesBytes(1)}
+	f.put(make([]Line, 2))
+	if len(f.byLen[2]) != 0 {
+		t.Fatal("free list grew past its bound")
+	}
+	f.put(make([]Line, 1))
+	if len(f.byLen[1]) != 1 || f.bytes != maxFreeLineBytes {
+		t.Fatalf("free list = %d arrays, %d bytes; want 1 array at the bound", len(f.byLen[1]), f.bytes)
+	}
+	if got := f.get(1); len(got) != 1 || f.bytes != maxFreeLineBytes-linesBytes(1) {
+		t.Fatalf("get(1) = %d lines, %d bytes left", len(got), f.bytes)
+	}
+}
+
+func TestLineSize(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n != 32 {
+		t.Fatalf("Line is %d bytes, want 32", n)
 	}
 }

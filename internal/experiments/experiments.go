@@ -125,6 +125,9 @@ func RunOne(k npb.Kernel, name string, cfg omp.Config, scale npb.Scale, verify b
 	if err != nil {
 		return Result{}, err
 	}
+	// The next run's machine reuses this one's cache storage, so a suite
+	// of runs keeps a steady memory footprint.
+	defer rt.M.Release()
 	inst := k.Build(rt, scale)
 	if err := rt.Run(inst.Program); err != nil {
 		return Result{}, fmt.Errorf("%s/%s: %w", k.Name, name, err)

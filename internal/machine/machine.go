@@ -212,6 +212,18 @@ func (m *Machine) Run() error {
 	return m.CheckCoherence()
 }
 
+// Release hands the machine's cache storage back for reuse by later
+// machines. The machine's caches must not be used afterwards; its
+// counters, statistics and classification stay readable.
+func (m *Machine) Release() {
+	for _, nd := range m.Nodes {
+		nd.L2.Release()
+		for _, p := range nd.Procs {
+			p.L1.Release()
+		}
+	}
+}
+
 // finalizeClass flushes classification for fills that were never evicted
 // and never referenced by the partner stream before the run ended.
 func (m *Machine) finalizeClass() {
@@ -403,7 +415,7 @@ func (p *Proc) access(addr shmem.Addr, write, prefetch bool) sim.Time {
 		// FillDone below, delays merged accesses), nothing else changes.
 		lat += m.Faults.MemSpikeLat(p.GID)
 		if m.P.TrackClass && p.Pair != nil {
-			l2.FilledBy = p.GID
+			l2.FilledBy = int16(p.GID)
 			if write {
 				l2.FillKindV = cache.FillReadEx
 			} else {

@@ -537,3 +537,37 @@ func TestRunPanicReleasesParkedProcs(t *testing.T) {
 		t.Fatalf("parked processor not unwound (unwound=%v finished=%v)", unwound, m.Eng.Finished())
 	}
 }
+
+func TestReleasedMachineRerunsIdentically(t *testing.T) {
+	// The second machine takes over the first one's released cache
+	// storage, which is full of lines; it must still start cold. Every
+	// processor runs, so every cache the second machine reuses held lines.
+	run := func() *Machine {
+		m := small()
+		for gid := range m.Procs {
+			gid := gid
+			m.Start(gid, func(p *Proc) {
+				for k := 0; k < 64; k++ {
+					addr := shmem.Addr(uint64(k * m.P.LineBytes))
+					if (k+gid)%3 == 0 {
+						p.Store(addr)
+					} else {
+						p.Load(addr)
+					}
+				}
+			})
+		}
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	first := run()
+	wall, bd := first.WallTime(), first.TotalBreakdown()
+	first.Release()
+	second := run()
+	if second.WallTime() != wall || second.TotalBreakdown() != bd {
+		t.Fatalf("rerun on released storage: wall %d breakdown %v, want %d %v",
+			second.WallTime(), second.TotalBreakdown(), wall, bd)
+	}
+}
