@@ -96,7 +96,7 @@ func (c *Claimer) loop() {
 			return
 		case c.sem <- struct{}{}:
 		}
-		granted := false
+		granted, answered := false, false
 		for range c.cfg.Coordinators {
 			co := c.cfg.Coordinators[next%len(c.cfg.Coordinators)]
 			next++
@@ -108,6 +108,7 @@ func (c *Claimer) loop() {
 				}
 				continue // coordinator down or talking nonsense; try the next
 			}
+			answered = true
 			if !ok {
 				continue // long-poll expired empty
 			}
@@ -122,9 +123,14 @@ func (c *Claimer) loop() {
 		}
 		if !granted {
 			<-c.sem
-			// Every coordinator came back empty (or unreachable). The
-			// long-poll already paced the reachable case; this sleep only
-			// stops a dead-fleet worker from spinning.
+			if answered {
+				// The long-poll paced this round. Polling straight on keeps
+				// every coordinator's view of this worker fresh: a worker
+				// rotating over k coordinators is seen by each at least every
+				// k × PollWait, which must stay under the lease.
+				continue
+			}
+			// Every coordinator was unreachable; don't spin.
 			select {
 			case <-c.ctx.Done():
 				return

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -35,21 +36,19 @@ type ResultSource interface {
 // claimEntry is one job's lease state. All fields are guarded by the
 // table mutex; done is closed exactly once, when the entry settles.
 type claimEntry struct {
-	key          string
-	label        string
-	tenant       string // admitting tenant, carried for observability and journals
-	priority     int    // scheduling class; Claim serves higher classes first
-	spec         json.RawMessage
-	state        string // pending | claimed | done | failed
-	claimedBy    string
-	expires      time.Time
-	attempt      int
-	hedged       bool // MarkHedgeable called; a second worker may claim
-	hedgeAttempt int  // attempt number handed to the hedge, for HedgesWon
-	errMsg       string
-	result       []byte
-	settledAt    time.Time
-	done         chan struct{}
+	key       string
+	label     string
+	tenant    string // admitting tenant, carried for observability and journals
+	priority  int    // scheduling class; Claim serves higher classes first
+	spec      json.RawMessage
+	state     string // pending | claimed | done | failed
+	claimedBy string
+	expires   time.Time
+	attempt   int
+	errMsg    string
+	result    []byte
+	settledAt time.Time
+	done      chan struct{}
 }
 
 func (e *claimEntry) terminal() bool {
@@ -57,15 +56,28 @@ func (e *claimEntry) terminal() bool {
 }
 
 // ClaimCounters are the table's lifetime counters, exported as the
-// slipd_claims_total{outcome} family plus contention and expirations.
+// slipd_claims_total{outcome} family plus expirations.
 type ClaimCounters struct {
-	Granted     uint64 // leases handed out (first claims, reclaims, hedges)
+	Granted     uint64 // leases handed out (first claims and reclaims)
 	Done        uint64 // claims settled with result bytes
 	Failed      uint64 // claims settled with an error
 	Duplicate   uint64 // terminal reports discarded because the claim had settled
-	Contention  uint64 // hedge grants: a second worker claimed a live lease
 	Expirations uint64 // leases that expired and went back to pending
-	HedgesWon   uint64 // settles where the hedge's attempt reported first
+}
+
+// Worker liveness states. A worker is live while the claim table has
+// heard from it — a claim poll, a lease renewal or a report — within one
+// lease duration, and dead after that.
+const (
+	WorkerLive = "live"
+	WorkerDead = "dead"
+)
+
+// WorkerView is the JSON shape of a worker in GET /cluster/workers.
+type WorkerView struct {
+	ID         string `json:"id"`
+	State      string `json:"state"`
+	LastSeenMs int64  `json:"last_seen_ms"` // ms since the worker's last claim-path request
 }
 
 // ClaimView is one entry of GET /cluster/claims.
@@ -82,12 +94,14 @@ type ClaimView struct {
 
 // ClaimTable is the shared dispatch state: jobs enter pending, workers
 // claim them under a lease, and terminal reports settle them. It is the
-// only coordination primitive on the dispatch path — liveness is
-// enforced purely by lease expiry, never by the failure detector.
+// only coordination primitive on the dispatch path: lease expiry
+// recovers work, and the claim-path requests themselves are the only
+// worker liveness signal.
 type ClaimTable struct {
 	mu      sync.Mutex
 	entries map[string]*claimEntry
-	order   []string // FIFO claim order; prune keeps it in step with entries
+	order   []string             // FIFO claim order; prune keeps it in step with entries
+	seen    map[string]time.Time // worker id → last claim poll, renewal or report
 
 	now         func() time.Time
 	lease       time.Duration
@@ -114,6 +128,7 @@ type ClaimTable struct {
 func newClaimTable(now func() time.Time, lease time.Duration, maxAttempts int) *ClaimTable {
 	return &ClaimTable{
 		entries:     make(map[string]*claimEntry),
+		seen:        make(map[string]time.Time),
 		now:         now,
 		lease:       lease,
 		maxAttempts: maxAttempts,
@@ -194,8 +209,6 @@ func (t *ClaimTable) Enqueue(key, label, tenant string, priority int, spec json.
 			e.claimedBy = ""
 			e.expires = time.Time{}
 			e.attempt = 0
-			e.hedged = false
-			e.hedgeAttempt = 0
 			e.errMsg = ""
 			e.result = nil
 			e.settledAt = time.Time{}
@@ -231,40 +244,31 @@ func (t *ClaimTable) Enqueue(key, label, tenant string, priority int, spec json.
 	return ch
 }
 
-// Claim hands worker the best claimable job, if any: a pending entry,
-// a claimed entry whose lease expired, or a hedgeable entry held by a
-// different worker. Higher priority classes are served first; within a
-// class the oldest claimable entry wins, so fleet dispatch preserves
-// the coordinator's fair-scheduler ordering. The grant bumps the
-// attempt; a lease that would exceed the attempt budget settles the
-// entry as failed instead (hedge grants just skip — the primary lease
-// is still live).
+// Claim hands worker the best claimable job, if any: a pending entry or
+// a claimed entry whose lease expired. Higher priority classes are
+// served first; within a class the oldest claimable entry wins, so
+// fleet dispatch preserves the coordinator's fair-scheduler ordering.
+// The grant bumps the attempt; a lease that would exceed the attempt
+// budget settles the entry as failed instead. Every call, granted or
+// not, marks worker live.
 func (t *ClaimTable) Claim(worker string) (ClaimGrant, bool) {
 	now := t.now()
 	t.mu.Lock()
+	t.seen[worker] = now
 	var recs []store.Record
 	var failedAny bool
 	var best *claimEntry
-	bestHedge, bestExpired := false, false
+	bestExpired := false
 	for _, key := range t.order {
 		e := t.entries[key]
 		if e == nil || e.terminal() {
 			continue
 		}
-		hedge, expired := false, false
-		switch {
-		case e.state == ClaimPending:
-		case e.state == ClaimClaimed && now.After(e.expires):
-			expired = true
-		case e.state == ClaimClaimed && e.hedged && e.claimedBy != worker:
-			hedge = true
-		default:
+		expired := e.state == ClaimClaimed && now.After(e.expires)
+		if e.state != ClaimPending && !expired {
 			continue
 		}
 		if e.attempt+1 > t.maxAttempts {
-			if hedge {
-				continue // primary lease still live; just don't hedge
-			}
 			if expired {
 				t.ctr.Expirations++
 			}
@@ -280,7 +284,7 @@ func (t *ClaimTable) Claim(worker string) (ClaimGrant, bool) {
 			continue
 		}
 		if best == nil || e.priority > best.priority {
-			best, bestHedge, bestExpired = e, hedge, expired
+			best, bestExpired = e, expired
 		}
 	}
 	if best == nil {
@@ -298,11 +302,6 @@ func (t *ClaimTable) Claim(worker string) (ClaimGrant, bool) {
 	e.state = ClaimClaimed
 	e.claimedBy = worker
 	e.expires = now.Add(t.lease)
-	if bestHedge {
-		e.hedged = false
-		e.hedgeAttempt = e.attempt
-		t.ctr.Contention++
-	}
 	t.ctr.Granted++
 	grant := ClaimGrant{
 		Key:      e.key,
@@ -321,10 +320,12 @@ func (t *ClaimTable) Claim(worker string) (ClaimGrant, bool) {
 
 // Renew extends worker's lease on key. It succeeds only while the lease
 // is still this worker's at this attempt — a superseded claimant learns
-// its lease is gone and stops renewing.
+// its lease is gone and stops renewing. Either way it marks worker
+// live, so a worker whose slots are all busy stays live on renewals.
 func (t *ClaimTable) Renew(worker, key string, attempt int) bool {
 	now := t.now()
 	t.mu.Lock()
+	t.seen[worker] = now
 	e := t.entries[key]
 	ok := e != nil && e.state == ClaimClaimed && e.claimedBy == worker && e.attempt == attempt
 	var rec store.Record
@@ -343,8 +344,10 @@ func (t *ClaimTable) Renew(worker, key string, attempt int) bool {
 // regardless of attempt — determinism makes every copy's bytes
 // identical, so a "late" report from a superseded lease is as good as
 // the current one. Returns false for duplicates (already settled).
-func (t *ClaimTable) Report(worker, key string, attempt int, state string, result []byte, errMsg string) bool {
+func (t *ClaimTable) Report(worker, key, state string, result []byte, errMsg string) bool {
+	now := t.now()
 	t.mu.Lock()
+	t.seen[worker] = now
 	e := t.entries[key]
 	if e == nil || e.terminal() {
 		t.ctr.Duplicate++
@@ -352,9 +355,6 @@ func (t *ClaimTable) Report(worker, key string, attempt int, state string, resul
 		return false
 	}
 	t.settleLocked(e, state, result, errMsg, true)
-	if e.hedgeAttempt != 0 && attempt == e.hedgeAttempt {
-		t.ctr.HedgesWon++
-	}
 	rec := e.record()
 	res := e.result
 	t.mu.Unlock()
@@ -398,27 +398,18 @@ func (t *ClaimTable) Result(key string) (result []byte, errMsg string, ok bool) 
 	return e.result, e.errMsg, true
 }
 
-// MarkHedgeable flags key so a second worker may claim it concurrently.
-// The coordinator calls this when a claim is outstanding past the
-// per-label hedge threshold.
-func (t *ClaimTable) MarkHedgeable(key string) bool {
-	t.mu.Lock()
-	e := t.entries[key]
-	ok := e != nil && e.state == ClaimClaimed && !e.hedged
-	if ok {
-		e.hedged = true
-		t.wakeLocked()
-	}
-	t.mu.Unlock()
-	return ok
-}
-
 // SweepLeases re-pends every expired lease (so parked claimers wake and
-// reclaim it) and prunes terminal entries older than terminalRetain.
-// Returns how many leases expired this sweep.
+// reclaim it), and prunes terminal entries settled, and workers last
+// seen, more than terminalRetain ago. Returns how many leases expired
+// this sweep.
 func (t *ClaimTable) SweepLeases() int {
 	now := t.now()
 	t.mu.Lock()
+	for id, at := range t.seen {
+		if now.Sub(at) > terminalRetain {
+			delete(t.seen, id)
+		}
+	}
 	var recs []store.Record
 	expired := 0
 	kept := t.order[:0]
@@ -436,7 +427,6 @@ func (t *ClaimTable) SweepLeases() int {
 			e.state = ClaimPending
 			e.claimedBy = ""
 			e.expires = time.Time{}
-			e.hedged = false
 			t.ctr.Expirations++
 			expired++
 			recs = append(recs, e.record())
@@ -580,7 +570,6 @@ func (t *ClaimTable) Merge(records []ClaimRecord) {
 			e.attempt = in.Attempt
 			e.state = in.State
 			e.claimedBy = in.ClaimedBy
-			e.hedged = false
 			if in.State == ClaimClaimed && in.ExpiresMs > 0 {
 				e.expires = time.UnixMilli(in.ExpiresMs)
 			} else {
@@ -694,6 +683,24 @@ func (t *ClaimTable) Views() []ClaimView {
 		}
 		out = append(out, v)
 	}
+	return out
+}
+
+// Workers lists every worker the table has heard from, sorted by id,
+// with its liveness judged on this table's clock.
+func (t *ClaimTable) Workers() []WorkerView {
+	now := t.now()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]WorkerView, 0, len(t.seen))
+	for id, at := range t.seen {
+		v := WorkerView{ID: id, State: WorkerLive, LastSeenMs: now.Sub(at).Milliseconds()}
+		if now.Sub(at) > t.lease {
+			v.State = WorkerDead
+		}
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

@@ -18,14 +18,11 @@ import (
 
 const runSpecBody = `{"kind":"run","kernel":"CG","nodes":4}`
 
-// fastCfg keeps claim tests snappy and deterministic: the background
-// sweep ticker is parked at an hour so tests drive sweeps (and the fake
-// clock) by hand.
+// fastCfg keeps claim tests snappy and deterministic: with a fake clock
+// the background sweep finds nothing to expire, so tests drive lease
+// expiry and worker liveness by hand.
 func fastCfg(clk *fakeClock) Config {
-	cfg := Config{
-		HeartbeatInterval: time.Hour,
-		ClaimWait:         100 * time.Millisecond,
-	}
+	cfg := Config{ClaimWait: 100 * time.Millisecond}
 	if clk != nil {
 		cfg.Now = clk.now
 	}
@@ -78,7 +75,7 @@ func TestDispatchNoWorkers(t *testing.T) {
 	defer co.Close()
 	_, err := co.Dispatch(context.Background(), testKey, "run/CG", "default", 0, server.JobSpec{}, io.Discard)
 	if !errors.Is(err, server.ErrNoWorkers) {
-		t.Fatalf("Dispatch with empty registry: %v, want ErrNoWorkers", err)
+		t.Fatalf("Dispatch before any claim poll: %v, want ErrNoWorkers", err)
 	}
 }
 
@@ -88,7 +85,7 @@ func TestDispatchClaimRoundTrip(t *testing.T) {
 	defer co.Close()
 	ts := httptest.NewServer(co.Handler())
 	defer ts.Close()
-	co.reg.register(Register{ID: "w1", Addr: "http://w1", Capacity: 2})
+	claimOnce(t, ts.URL, "w1", 0) // an empty first poll lists w1 live
 
 	type res struct {
 		b   []byte
@@ -138,7 +135,7 @@ func TestDispatchDeterministicFailurePropagates(t *testing.T) {
 	defer co.Close()
 	ts := httptest.NewServer(co.Handler())
 	defer ts.Close()
-	co.reg.register(Register{ID: "w1", Addr: "http://w1", Capacity: 2})
+	claimOnce(t, ts.URL, "w1", 0) // an empty first poll lists w1 live
 
 	errc := make(chan error, 1)
 	go func() {
@@ -157,65 +154,6 @@ func TestDispatchDeterministicFailurePropagates(t *testing.T) {
 	}
 	if st := co.Stats(); st.ClaimsFailed != 1 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-func TestDispatchHedgeWins(t *testing.T) {
-	cfg := fastCfg(nil) // real clock: the hedge timer and lease run on it
-	cfg.HedgeAfter = 20 * time.Millisecond
-	cfg.LeaseDuration = time.Hour // the straggler's lease never expires
-	co := NewCoordinator(cfg)
-	defer co.Close()
-	ts := httptest.NewServer(co.Handler())
-	defer ts.Close()
-	co.reg.register(Register{ID: "a", Addr: "http://a", Capacity: 2})
-	co.reg.register(Register{ID: "b", Addr: "http://b", Capacity: 2})
-
-	type res struct {
-		b   []byte
-		err error
-	}
-	done := make(chan res, 1)
-	go func() {
-		b, err := co.Dispatch(context.Background(), testKey, "run/CG", "default", 0, server.JobSpec{}, io.Discard)
-		done <- res{b, err}
-	}()
-
-	// Worker a claims first and stalls forever.
-	waitFor(t, 10*time.Second, func() bool {
-		_, ok := claimOnce(t, ts.URL, "a", 50)
-		return ok
-	}, "primary claim never granted")
-
-	// Past HedgeAfter the claim opens to worker b.
-	var hedge ClaimGrant
-	waitFor(t, 10*time.Second, func() bool {
-		var ok bool
-		hedge, ok = claimOnce(t, ts.URL, "b", 50)
-		return ok
-	}, "hedge claim never opened")
-	if hedge.Attempt != 2 {
-		t.Fatalf("hedge grant = %+v", hedge)
-	}
-	if !reportClaim(t, ts.URL, ClaimReport{Worker: "b", Key: testKey, Attempt: hedge.Attempt, State: ClaimDone, Result: []byte("HEDGE-WON")}) {
-		t.Fatal("hedge report rejected")
-	}
-
-	r := <-done
-	if r.err != nil || string(r.b) != "HEDGE-WON" {
-		t.Fatalf("hedged dispatch = %q, %v", r.b, r.err)
-	}
-	st := co.Stats()
-	if st.HedgesStarted != 1 || st.HedgesWon != 1 || st.ClaimContention != 1 {
-		t.Fatalf("hedge counters: %+v", st)
-	}
-
-	// The straggler's late, byte-identical report is a duplicate.
-	if reportClaim(t, ts.URL, ClaimReport{Worker: "a", Key: testKey, Attempt: 1, State: ClaimDone, Result: []byte("HEDGE-WON")}) {
-		t.Fatal("straggler's duplicate report accepted")
-	}
-	if st := co.Stats(); st.ClaimsDuplicate != 1 {
-		t.Fatalf("duplicate not counted: %+v", st)
 	}
 }
 
@@ -259,7 +197,6 @@ func TestClaimerVersionSkew(t *testing.T) {
 	defer co.Close()
 	ts := httptest.NewServer(co.Handler())
 	defer ts.Close()
-	co.reg.register(Register{ID: "w1", Addr: "http://w1", Capacity: 1})
 
 	c := StartClaimer(ClaimerConfig{
 		Coordinators: []string{ts.URL},
@@ -272,6 +209,7 @@ func TestClaimerVersionSkew(t *testing.T) {
 		},
 	})
 	defer c.Stop()
+	waitFor(t, 10*time.Second, func() bool { return co.Stats().Live == 1 }, "claimer never polled")
 
 	_, err := co.Dispatch(context.Background(), testKey, "run/CG", "default", 0, server.JobSpec{}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "version skew") {
@@ -302,8 +240,8 @@ func coordinatorServer(t *testing.T, cfg Config) (*Coordinator, *server.Server, 
 }
 
 // startWorker builds a real slipd worker the way cmd/slipd does: a
-// plain server, a membership agent per coordinator, and a claimer that
-// executes granted specs through the normal submission machinery.
+// plain server and a claimer that executes granted specs through the
+// normal submission machinery.
 func startWorker(t *testing.T, id string, coURLs []string) *server.Server {
 	t.Helper()
 	srv := server.New(server.Config{})
@@ -312,20 +250,6 @@ func startWorker(t *testing.T, id string, coURLs []string) *server.Server {
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	for _, u := range coURLs {
-		a, err := StartAgent(AgentConfig{
-			Coordinator: u,
-			ID:          id,
-			Advertise:   "http://" + id + ".invalid",
-			Capacity:    2,
-			Load:        srv.Load,
-			Interval:    25 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("StartAgent: %v", err)
-		}
-		t.Cleanup(a.Stop)
-	}
 	c := StartClaimer(ClaimerConfig{
 		Coordinators: coURLs,
 		ID:           id,
@@ -408,13 +332,13 @@ func referenceRun(t *testing.T, spec string) string {
 func TestFleetEndToEnd(t *testing.T) {
 	want := referenceRun(t, runSpecBody)
 
-	cfg := Config{HeartbeatInterval: 25 * time.Millisecond, ClaimWait: 100 * time.Millisecond}
+	cfg := Config{ClaimWait: 100 * time.Millisecond}
 	co, _, cts := coordinatorServer(t, cfg)
 
 	w1 := startWorker(t, "worker-0", []string{cts.URL})
 	w2 := startWorker(t, "worker-1", []string{cts.URL})
 
-	// Both workers enroll via the real register/heartbeat HTTP path.
+	// Both workers enroll on their first claim poll over real HTTP.
 	waitFor(t, 10*time.Second, func() bool {
 		return co.Stats().Live == 2
 	}, "workers never enrolled")
@@ -478,7 +402,7 @@ func TestFleetEndToEnd(t *testing.T) {
 func TestCoordinatorDegradedLocalFallback(t *testing.T) {
 	want := referenceRun(t, runSpecBody)
 
-	cfg := Config{HeartbeatInterval: 25 * time.Millisecond, ClaimWait: 100 * time.Millisecond}
+	cfg := Config{ClaimWait: 100 * time.Millisecond}
 	_, srv, cts := coordinatorServer(t, cfg)
 
 	// Zero workers: the coordinator must still answer, locally.
@@ -559,11 +483,10 @@ func TestTwoCoordinatorFailover(t *testing.T) {
 
 	mkCfg := func(self, peer string) Config {
 		return Config{
-			HeartbeatInterval: 25 * time.Millisecond,
-			LeaseDuration:     250 * time.Millisecond,
-			ClaimWait:         100 * time.Millisecond,
-			SelfID:            self,
-			Peers:             []string{peer},
+			LeaseDuration: 250 * time.Millisecond,
+			ClaimWait:     100 * time.Millisecond,
+			SelfID:        self,
+			Peers:         []string{peer},
 		}
 	}
 	coA := NewCoordinator(mkCfg("co-a", tsB.URL))
@@ -571,11 +494,11 @@ func TestTwoCoordinatorFailover(t *testing.T) {
 	defer coB.Close()
 	hA.set(coA.Handler())
 	hB.set(coB.Handler())
-	coA.reg.register(Register{ID: "w1", Addr: "http://w1", Capacity: 1})
-	coB.reg.register(Register{ID: "w2", Addr: "http://w2", Capacity: 1})
 
-	// With both peers up and a live worker each, neither is degraded.
+	// With both peers up and a polling worker each, neither is degraded.
 	waitFor(t, 10*time.Second, func() bool {
+		claimOnce(t, tsA.URL, "w1", 0)
+		claimOnce(t, tsB.URL, "w2", 0)
 		return !coA.Stats().Degraded && !coB.Stats().Degraded
 	}, "peered coordinators never became healthy")
 
@@ -635,41 +558,4 @@ func TestTwoCoordinatorFailover(t *testing.T) {
 		s := coB.Stats()
 		return s.Degraded && len(s.Peers) == 1 && !s.Peers[0].Reachable
 	}, "survivor never marked the dead peer unreachable")
-}
-
-func TestAgentReRegistersAfterDeadVerdict(t *testing.T) {
-	co := NewCoordinator(Config{HeartbeatInterval: 10 * time.Millisecond})
-	defer co.Close()
-	ts := httptest.NewServer(co.Handler())
-	defer ts.Close()
-
-	a, err := StartAgent(AgentConfig{
-		Coordinator: ts.URL,
-		ID:          "w1",
-		Advertise:   "http://127.0.0.1:1",
-		Capacity:    3,
-		Load:        func() (int, int) { return 0, 0 },
-		Interval:    10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("StartAgent: %v", err)
-	}
-	defer a.Stop()
-
-	waitFor(t, 5*time.Second, func() bool { return co.Stats().Live == 1 }, "agent never registered")
-
-	// The coordinator declares the worker dead (as after a long GC pause
-	// or partition); the next heartbeat ack sends the agent back to
-	// register, and the fleet heals with a fresh live handle.
-	co.reg.mu.Lock()
-	old := co.reg.workers["w1"]
-	old.state = WorkerDead
-	co.reg.mu.Unlock()
-	waitFor(t, 5*time.Second, func() bool {
-		co.reg.mu.Lock()
-		w := co.reg.workers["w1"]
-		healed := w != old && w.state == WorkerLive
-		co.reg.mu.Unlock()
-		return healed
-	}, "agent never re-registered after dead verdict")
 }

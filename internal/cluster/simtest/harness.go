@@ -32,12 +32,10 @@ import (
 
 // Harness timing constants. The cluster's real defaults are seconds;
 // the harness compresses them ~100× so a whole schedule — including
-// lease expiries and failure-detector verdicts — fits in well under a
-// second of wall clock.
+// lease expiries and liveness verdicts — fits in well under a second of
+// wall clock. A worker rotating over three coordinators is seen by each
+// every 3 × simClaimWait, well inside simLease.
 const (
-	simHeartbeat   = 10 * time.Millisecond
-	simSuspect     = 60 * time.Millisecond
-	simDead        = 150 * time.Millisecond
 	simLease       = 120 * time.Millisecond
 	simClaimWait   = 25 * time.Millisecond
 	simMaxAttempts = 50 // generous: budget exhaustion must never be a legitimate outcome in a schedule
@@ -130,14 +128,17 @@ type Report struct {
 	Violations []string
 	Submitted  int
 	// ChaosInjected counts manufactured network faults; Granted,
-	// Expirations, Duplicates and Hedges aggregate the coordinators'
-	// claim counters — evidence the schedule actually exercised the
-	// recovery machinery.
+	// Expirations and Duplicates aggregate the coordinators' claim
+	// counters — evidence the schedule actually exercised the recovery
+	// machinery.
 	ChaosInjected uint64
 	Granted       uint64
 	Expirations   uint64
 	Duplicates    uint64
-	Hedges        uint64
+	// Fallbacks counts Dispatch calls that returned server.ErrNoWorkers:
+	// the coordinator judged no worker live. On a quiet network every
+	// worker keeps polling, so any fallback there is a liveness misjudgment.
+	Fallbacks uint64
 }
 
 // OK reports whether every invariant held.
@@ -219,9 +220,6 @@ func (n *coordNode) start() error {
 	}
 	name := n.name
 	co := cluster.NewCoordinator(cluster.Config{
-		HeartbeatInterval:        simHeartbeat,
-		SuspectAfter:             simSuspect,
-		DeadAfter:                simDead,
 		LeaseDuration:            simLease,
 		ClaimWait:                simClaimWait,
 		MaxAttempts:              simMaxAttempts,
@@ -232,7 +230,7 @@ func (n *coordNode) start() error {
 		HTTPClient:               n.h.net.Client(name),
 		Now:                      n.h.net.Chaos().Clock(name),
 		BreakerFailures:          4,
-		BreakerCooldown:          6 * simHeartbeat,
+		BreakerCooldown:          simLease / 2,
 		DisableMergeTerminalWins: n.h.opts.MutateMerge && n.idx > 0,
 		Logf: func(format string, args ...any) {
 			n.h.opts.Logf("["+name+"] "+format, args...)
@@ -277,43 +275,23 @@ func (n *coordNode) snapshot() (*cluster.Coordinator, context.Context, int, bool
 	return n.co, n.ctx, n.epoch, n.alive
 }
 
-// workerNode is one worker: membership agents (one per coordinator it
-// joins) plus the claim loop. A crash flips the crashed flag — the Run
-// callback then abandons every claim, so leases expire exactly as they
-// would for a dead process — and stops the loops in the background.
+// workerNode is one worker: its claim loop, which is also its only
+// liveness signal. A crash flips the crashed flag — the Run callback
+// then abandons every claim, so leases expire exactly as they would for
+// a dead process — and stops the loop in the background.
 type workerNode struct {
 	h       *harness
 	name    string
 	crashed atomic.Bool
 	claimer *cluster.Claimer
-	agents  []*cluster.Agent
 	stopWG  sync.WaitGroup
 }
 
-func (h *harness) startWorker(name string) (*workerNode, error) {
+func (h *harness) startWorker(name string) *workerNode {
 	w := &workerNode{h: h, name: name}
 	client := h.net.Client(name)
-	coords := h.joinURLs()
-	for _, u := range coords {
-		a, err := cluster.StartAgent(cluster.AgentConfig{
-			Coordinator: u,
-			ID:          name,
-			Advertise:   "http://" + name,
-			Capacity:    2,
-			Load:        func() (int, int) { return 0, 0 },
-			Interval:    simHeartbeat,
-			HTTPClient:  client,
-			Logf: func(format string, args ...any) {
-				h.opts.Logf("["+name+"] "+format, args...)
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("worker %s agent: %w", name, err)
-		}
-		w.agents = append(w.agents, a)
-	}
 	w.claimer = cluster.StartClaimer(cluster.ClaimerConfig{
-		Coordinators: coords,
+		Coordinators: h.joinURLs(),
 		ID:           name,
 		Slots:        2,
 		KeyFor:       keyOf,
@@ -321,8 +299,8 @@ func (h *harness) startWorker(name string) (*workerNode, error) {
 			if w.crashed.Load() {
 				return nil, cluster.ErrClaimAbandoned
 			}
-			// A sliver of real work keeps leases and hedges honest: claims
-			// overlap with renewals, crashes land mid-run.
+			// A sliver of real work keeps leases honest: claims overlap
+			// with renewals, crashes land mid-run.
 			time.Sleep(2 * time.Millisecond)
 			if w.crashed.Load() {
 				return nil, cluster.ErrClaimAbandoned
@@ -335,12 +313,12 @@ func (h *harness) startWorker(name string) (*workerNode, error) {
 			h.opts.Logf("["+name+"] "+format, args...)
 		},
 	})
-	return w, nil
+	return w
 }
 
 // crash marks the worker dead. Goroutines can't be killed, so death is
 // emulated at the semantics level: every claim it holds or wins from
-// here on is abandoned (no report, lease expires) and its loops stop in
+// here on is abandoned (no report, lease expires) and its loop stops in
 // the background.
 func (w *workerNode) crash() {
 	if w.crashed.Swap(true) {
@@ -350,9 +328,6 @@ func (w *workerNode) crash() {
 	go func() {
 		defer w.stopWG.Done()
 		w.claimer.Stop()
-		for _, a := range w.agents {
-			a.Stop()
-		}
 	}()
 }
 
@@ -360,9 +335,6 @@ func (w *workerNode) crash() {
 func (w *workerNode) stop() {
 	if !w.crashed.Swap(true) {
 		w.claimer.Stop()
-		for _, a := range w.agents {
-			a.Stop()
-		}
 	}
 	w.stopWG.Wait()
 }
@@ -381,6 +353,8 @@ type harness struct {
 	workers []*workerNode
 	retired []*workerNode // crashed workers replaced at settle; drained at teardown
 
+	fallbacks atomic.Uint64 // Dispatch calls answered server.ErrNoWorkers
+
 	mu         sync.Mutex
 	violations []string
 }
@@ -392,9 +366,10 @@ func (h *harness) violate(format string, args ...any) {
 }
 
 // joinURLs is the coordinator list workers claim from: everyone, or
-// only coordinator 0 under the merge mutation (so the mutated peers can
-// learn results through replication alone — the topology that exposes a
-// broken merge instead of letting re-claims paper over it).
+// only coordinator 0 under PinToFirst and the merge mutation (so the
+// mutated peers can learn results through replication alone — the
+// topology that exposes a broken merge instead of letting re-claims
+// paper over it).
 func (h *harness) joinURLs() []string {
 	if h.opts.PinToFirst {
 		return []string{h.net.URL(h.coords[0].name)}
@@ -462,12 +437,11 @@ func Run(opts Options) (Report, error) {
 		}
 	}
 	for i := 0; i < opts.Workers; i++ {
-		w, err := h.startWorker(fmt.Sprintf("w%d", i))
-		if err != nil {
-			return rep, err
-		}
-		h.workers = append(h.workers, w)
+		h.workers = append(h.workers, h.startWorker(fmt.Sprintf("w%d", i)))
 	}
+	// Workers enroll on their first claim poll; submitting before then
+	// would measure start-up, not liveness.
+	h.awaitEnrollment()
 
 	// Invariant monitor: watches attempt monotonicity and the budget on
 	// every live coordinator throughout the schedule.
@@ -502,11 +476,11 @@ func Run(opts Options) (Report, error) {
 			rep.Granted += ctr.Granted
 			rep.Expirations += ctr.Expirations
 			rep.Duplicates += ctr.Duplicate
-			rep.Hedges += ctr.Contention
 		}
 		n.crash()
 	}
 	rep.ChaosInjected = h.net.Chaos().Counters().Total()
+	rep.Fallbacks = h.fallbacks.Load()
 
 	h.mu.Lock()
 	rep.Violations = append(rep.Violations, h.violations...)
@@ -542,6 +516,7 @@ func (h *harness) submit(job, firstCo int, deadline time.Time) {
 			}
 			return
 		case errors.Is(err, server.ErrNoWorkers):
+			h.fallbacks.Add(1)
 			return // degraded-mode local execution; render(spec) == want by construction
 		case errors.Is(err, context.Canceled):
 			// Coordinator crashed mid-dispatch; fail over.
@@ -555,4 +530,29 @@ func (h *harness) submit(job, firstCo int, deadline time.Time) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	h.violate("job %d: no terminal outcome before the settle deadline", job)
+}
+
+// awaitEnrollment waits until every coordinator a worker claims from
+// lists every worker live. Not enrolling within SettleTimeout is a
+// violation: nothing can have stopped the first poll.
+func (h *harness) awaitEnrollment() {
+	joined := h.coords
+	if h.opts.PinToFirst {
+		joined = joined[:1]
+	}
+	deadline := time.Now().Add(h.opts.SettleTimeout)
+	for _, n := range joined {
+		for {
+			co, _, _, _ := n.snapshot()
+			live := co.Stats().Live
+			if live == len(h.workers) {
+				break
+			}
+			if time.Now().After(deadline) {
+				h.violate("%s lists %d of %d workers live before the schedule starts", n.name, live, len(h.workers))
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 }

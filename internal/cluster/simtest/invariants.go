@@ -88,12 +88,7 @@ func (h *harness) settle(clientWG *sync.WaitGroup) {
 	for i, w := range h.workers {
 		if w.crashed.Load() {
 			h.retired = append(h.retired, w)
-			nw, err := h.startWorker(w.name)
-			if err != nil {
-				h.violate("settle restart %s: %v", w.name, err)
-				continue
-			}
-			h.workers[i] = nw
+			h.workers[i] = h.startWorker(w.name)
 		}
 	}
 	clientWG.Wait()

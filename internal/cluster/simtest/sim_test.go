@@ -83,6 +83,9 @@ func TestChaosFreeBaselineConverges(t *testing.T) {
 	if rep.ChaosInjected != 0 {
 		t.Fatalf("NoChaos run injected %d faults", rep.ChaosInjected)
 	}
+	if rep.Fallbacks != 0 {
+		t.Fatalf("quiet network fell back to local execution %d times; liveness misjudged a polling fleet", rep.Fallbacks)
+	}
 }
 
 // The pure-replication topology: workers and client pinned to c0, the
@@ -95,6 +98,9 @@ func TestPinnedTopologyConvergesViaReplication(t *testing.T) {
 	}
 	if !rep.OK() {
 		t.Fatalf("pinned topology violations:\n%s", strings.Join(rep.Violations, "\n"))
+	}
+	if rep.Fallbacks != 0 {
+		t.Fatalf("quiet network fell back to local execution %d times; liveness misjudged a polling fleet", rep.Fallbacks)
 	}
 }
 

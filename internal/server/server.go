@@ -49,7 +49,7 @@ type Config struct {
 	RetryBackoff time.Duration
 	// Cluster, when non-nil, turns this server into a fleet coordinator:
 	// job execution is dispatched through the backend (which owns worker
-	// selection, failover, and hedging) and only falls back to local
+	// liveness and failover) and only falls back to local
 	// in-process execution when the backend reports ErrNoWorkers.
 	Cluster Cluster
 	// ChaosInjected, when set, is sampled by /metrics into the
@@ -682,12 +682,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.closePersistence()
 		return ctx.Err()
 	}
-}
-
-// Load reports how many jobs are currently queued and running (exported
-// for the worker agent's heartbeats; the same gauges are in /metrics).
-func (s *Server) Load() (queued, running int) {
-	return s.metrics.stateCounts()
 }
 
 // RunsTotal reports how many underlying simulation executions have

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // submitAs posts a job with an API key and returns the raw response
@@ -93,14 +94,30 @@ func TestTenantBacklog429(t *testing.T) {
 		},
 	})
 	gate := make(chan struct{})
-	s.testBeforeRun = func(*Job) { <-gate }
+	running := make(chan struct{}, 1)
+	s.testBeforeRun = func(*Job) {
+		select {
+		case running <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
 	defer close(gate)
 
-	// One job occupies the worker; two more fill the backlog.
+	// One job occupies the worker; two more fill the backlog. The first
+	// must leave the queue before the others arrive, or it still holds
+	// a backlog slot.
 	for i := 0; i < 3; i++ {
 		resp, _ := submitAs(t, ts, "sk-bounded", specWithNodes(2+i, ""))
 		if resp.StatusCode != http.StatusCreated {
 			t.Fatalf("submission %d = %d", i, resp.StatusCode)
+		}
+		if i == 0 {
+			select {
+			case <-running:
+			case <-time.After(10 * time.Second):
+				t.Fatal("first job never started")
+			}
 		}
 	}
 	resp, _ := submitAs(t, ts, "sk-bounded", specWithNodes(20, ""))

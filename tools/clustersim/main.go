@@ -61,6 +61,7 @@ func main() {
 		expired  atomic.Uint64
 		granted  atomic.Uint64
 		dups     atomic.Uint64
+		fallback atomic.Uint64
 	)
 
 	t0 := time.Now()
@@ -92,6 +93,7 @@ func main() {
 			expired.Add(rep.Expirations)
 			granted.Add(rep.Granted)
 			dups.Add(rep.Duplicates)
+			fallback.Add(rep.Fallbacks)
 			if !rep.OK() {
 				mu.Lock()
 				failures = append(failures, failure{seed, rep.Violations})
@@ -106,8 +108,8 @@ func main() {
 	}
 	wg.Wait()
 
-	fmt.Printf("clustersim: %d schedules in %v — %d faults injected, %d claims granted, %d lease expirations, %d duplicate reports\n",
-		*seeds, time.Since(t0).Round(time.Millisecond), injected.Load(), granted.Load(), expired.Load(), dups.Load())
+	fmt.Printf("clustersim: %d schedules in %v — %d faults injected, %d claims granted, %d lease expirations, %d duplicate reports, %d local fallbacks\n",
+		*seeds, time.Since(t0).Round(time.Millisecond), injected.Load(), granted.Load(), expired.Load(), dups.Load(), fallback.Load())
 	if len(failures) > 0 {
 		for _, f := range failures {
 			fmt.Fprintf(os.Stderr, "clustersim: seed %d FAILED — reproduce with: go run ./tools/clustersim -start %d -seeds 1 -v\n", f.seed, f.seed)

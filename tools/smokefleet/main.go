@@ -82,9 +82,7 @@ func workerKillDrill(bin string) error {
 		return fmt.Errorf("reference run: %w", err)
 	}
 
-	coord, coordBase, err := startSlipd(bin, "-no-persist", "-coordinator",
-		"-heartbeat-interval", "300ms", "-suspect-after", "1s", "-dead-after", "2s",
-		"-claim-lease", "2s")
+	coord, coordBase, err := startSlipd(bin, "-no-persist", "-coordinator", "-claim-lease", "2s")
 	if err != nil {
 		return err
 	}
@@ -108,7 +106,7 @@ func workerKillDrill(bin string) error {
 		workers[id] = workerProc{cmd, base}
 	}
 
-	// Both workers must enroll through register + heartbeat.
+	// Both workers must enroll on their first claim poll.
 	if err := waitWorkers(coordBase, 2, 15*time.Second); err != nil {
 		return err
 	}
@@ -230,9 +228,7 @@ func coordinatorKillDrill(bin string) error {
 	}
 	baseA, baseB := "http://"+addrA, "http://"+addrB
 
-	coordFlags := []string{"-no-persist", "-coordinator",
-		"-heartbeat-interval", "300ms", "-suspect-after", "1s", "-dead-after", "2s",
-		"-claim-lease", "2s"}
+	coordFlags := []string{"-no-persist", "-coordinator", "-claim-lease", "2s"}
 	coA, err := startSlipdAt(bin, addrA, append(coordFlags, "-join-coordinator", baseB)...)
 	if err != nil {
 		return err
