@@ -42,7 +42,7 @@ golden-paper:
 # Benchmark baselines are committed as BENCH_PR$(PR).json, one per PR that
 # moves performance. BENCHTIME is multi-iteration on purpose: -benchtime=1x
 # made ns/op a single noisy sample and the ratchet flapped.
-PR ?= 12
+PR ?= 14
 BENCH_OUT ?= BENCH_PR$(PR).json
 BENCHTIME ?= 3x
 BENCH_COUNT ?= 2

@@ -170,6 +170,35 @@ type Controller struct {
 
 	// recoveries counts divergence recoveries taken by A-streams.
 	recoveries uint64
+
+	// waits holds each CMP's register spins, allocated on the first one.
+	waits []pairWaits
+}
+
+// pairWaits holds one CMP's register spins: the arguments and results of
+// each wait live here, so passing a wait to machine.Proc.SpinWait as its
+// Cond allocates nothing. The R-stream and the A-stream of a pair may spin
+// at once, but never in the same wait.
+type pairWaits struct {
+	region   regionWait
+	token    tokenWait
+	publish  publishWait
+	decision decisionWait
+}
+
+// waitsOf returns the spin state of p's CMP.
+func (c *Controller) waitsOf(p *machine.Proc) *pairWaits {
+	if c.waits == nil {
+		c.waits = make([]pairWaits, len(c.M.Nodes))
+	}
+	return &c.waits[p.Node.ID]
+}
+
+// spin runs a register spin on p with its waits charged to cat.
+func (c *Controller) spin(p *machine.Proc, cat stats.Category, cond machine.Cond) {
+	old := p.SetCategory(cat)
+	p.SpinWait(c.M.P.RegAccessCycles, c.M.P.SpinPollCycles, cond)
+	p.SetCategory(old)
 }
 
 // NewController builds a controller. env is the OMP_SLIPSTREAM value
@@ -252,13 +281,19 @@ func (c *Controller) RPickupRegion(p *machine.Proc, seq int64, cfg Config) {
 // AAwaitRegion blocks the A-stream until its R-stream has picked up region
 // seq. The wait (normally negligible) is charged as job-wait time.
 func (c *Controller) AAwaitRegion(p *machine.Proc, seq int64) {
-	poll := c.M.P.SpinPollCycles
-	old := p.SetCategory(stats.CatJobWait)
-	for c.reg(p).RRegion < seq {
-		p.Wait(poll)
-	}
-	p.SetCategory(old)
+	w := &c.waitsOf(p).region
+	*w = regionWait{r: &p.Node.Regs, seq: seq}
+	c.spin(p, stats.CatJobWait, w)
 }
+
+// regionWait holds once the R-stream has picked up region seq.
+type regionWait struct {
+	r   *machine.PairRegs
+	seq int64
+}
+
+// Done implements machine.Cond.
+func (w *regionWait) Done() bool { return w.r.RRegion >= w.seq }
 
 // AStartRegion is the A-stream's region-entry hook: a pending recovery
 // request (from a divergence detected in the previous region) is absorbed
@@ -359,24 +394,32 @@ func (c *Controller) InsertTokenAt(p *machine.Proc) {
 // as barrier synchronization. It returns true if a recovery request was
 // observed and absorbed (the caller should abandon the current region).
 func (c *Controller) ABarrier(p *machine.Proc) (recovered bool) {
-	poll := c.M.P.SpinPollCycles
-	old := p.SetCategory(stats.CatBarrier)
-	defer p.SetCategory(old)
-	for {
-		r := c.reg(p)
-		if r.Recover != 0 {
-			r.ABarriers = r.RBarriers
-			r.Recover = 0
-			r.AIdle = 1
-			r.SysTaken = r.SysPosted
-			return true
-		}
-		if r.ABarriers < r.Allowance+r.RBarriers {
-			r.ABarriers++
-			return false
-		}
-		p.Wait(poll)
+	w := &c.waitsOf(p).token
+	*w = tokenWait{r: &p.Node.Regs}
+	c.spin(p, stats.CatBarrier, w)
+	return w.recovered
+}
+
+// tokenWait consumes one token, or absorbs a pending recovery request
+// (recovered).
+type tokenWait struct {
+	r         *machine.PairRegs
+	recovered bool
+}
+
+// Done implements machine.Cond.
+func (w *tokenWait) Done() bool {
+	r := w.r
+	if r.Recover != 0 {
+		absorbRecovery(r)
+		w.recovered = true
+		return true
 	}
+	if r.ABarriers < r.Allowance+r.RBarriers {
+		r.ABarriers++
+		return true
+	}
+	return false
 }
 
 // ARecoveryPending lets the A-stream poll for a recovery request at chunk
@@ -389,7 +432,12 @@ func (c *Controller) ARecoveryPending(p *machine.Proc) bool {
 // and marks it idle for the remainder of the region, so the R-stream stops
 // waiting on the decision semaphore (the A-stream no longer consumes).
 func (c *Controller) AAbsorbRecovery(p *machine.Proc) {
-	r := c.reg(p)
+	absorbRecovery(c.reg(p))
+}
+
+// absorbRecovery resynchronizes a pair's counters for a recovering
+// A-stream and marks it idle for the rest of the region.
+func absorbRecovery(r *machine.PairRegs) {
 	r.ABarriers = r.RBarriers
 	r.Recover = 0
 	r.AIdle = 1
@@ -403,45 +451,64 @@ func (c *Controller) AAbsorbRecovery(p *machine.Proc) {
 // previous decision to be consumed — the pair register holds one decision —
 // then writes it and posts the semaphore. Wait time is scheduling overhead.
 func (c *Controller) RPublishDecision(p *machine.Proc, lo, hi int64) {
-	poll := c.M.P.SpinPollCycles
-	old := p.SetCategory(stats.CatSched)
-	defer p.SetCategory(old)
-	for {
-		r := c.reg(p)
-		if r.Recover != 0 || r.AIdle != 0 {
-			// The A-stream is being recovered or has abandoned the
-			// region; drop the handshake so the R-stream cannot deadlock
-			// against an absent consumer.
-			return
-		}
-		if r.SysPosted == r.SysTaken {
-			r.SchedLo, r.SchedHi = lo, hi
-			r.SysPosted++
-			return
-		}
-		p.Wait(poll)
+	w := &c.waitsOf(p).publish
+	*w = publishWait{r: &p.Node.Regs, lo: lo, hi: hi}
+	c.spin(p, stats.CatSched, w)
+}
+
+// publishWait posts the decision [lo, hi) once the register is free.
+type publishWait struct {
+	r      *machine.PairRegs
+	lo, hi int64
+}
+
+// Done implements machine.Cond.
+func (w *publishWait) Done() bool {
+	r := w.r
+	if r.Recover != 0 || r.AIdle != 0 {
+		// The A-stream is being recovered or has abandoned the region;
+		// drop the handshake so the R-stream cannot deadlock against an
+		// absent consumer.
+		return true
 	}
+	if r.SysPosted == r.SysTaken {
+		r.SchedLo, r.SchedHi = w.lo, w.hi
+		r.SysPosted++
+		return true
+	}
+	return false
 }
 
 // ATakeDecision blocks the A-stream until its R-stream publishes the next
 // scheduling decision, then consumes and returns it. The bool result is
 // false if a recovery request interrupted the wait.
 func (c *Controller) ATakeDecision(p *machine.Proc) (lo, hi int64, ok bool) {
-	poll := c.M.P.SpinPollCycles
-	old := p.SetCategory(stats.CatSched)
-	defer p.SetCategory(old)
-	for {
-		r := c.reg(p)
-		if r.Recover != 0 {
-			return 0, 0, false
-		}
-		if r.SysPosted > r.SysTaken {
-			lo, hi = r.SchedLo, r.SchedHi
-			r.SysTaken++
-			return lo, hi, true
-		}
-		p.Wait(poll)
+	w := &c.waitsOf(p).decision
+	*w = decisionWait{r: &p.Node.Regs}
+	c.spin(p, stats.CatSched, w)
+	return w.lo, w.hi, w.ok
+}
+
+// decisionWait consumes the next posted decision [lo, hi), or gives up
+// (ok false) on a recovery request.
+type decisionWait struct {
+	r      *machine.PairRegs
+	lo, hi int64
+	ok     bool
+}
+
+// Done implements machine.Cond.
+func (w *decisionWait) Done() bool {
+	r := w.r
+	if r.Recover != 0 {
+		return true
 	}
+	if r.SysPosted > r.SysTaken {
+		w.lo, w.hi, w.ok = r.SchedLo, r.SchedHi, true
+		r.SysTaken++
+		return true
+	}
+	return false
 }
 
 // InjectDivergence forces a recovery request on p's pair (test/failure

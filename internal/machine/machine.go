@@ -80,6 +80,29 @@ type Proc struct {
 	Stores    uint64
 	L2Misses  uint64
 	Remote    uint64
+
+	spin spin // the SpinLoad or SpinWait in progress
+}
+
+// A Cond ends a spin. Done runs in engine context after each probe and
+// must not park; when it reports true it may first make the updates that
+// end the wait (take a token, consume a decision). A pointer to state the
+// caller keeps is a Cond that costs no allocation per spin.
+type Cond interface {
+	Done() bool
+}
+
+// spin is the state of a SpinLoad or SpinWait between its rounds; as a
+// sim.Stepper it runs each round in engine context.
+type spin struct {
+	p      *Proc
+	cond   Cond
+	addr   shmem.Addr // SpinLoad: the polled flag
+	probe  sim.Time   // SpinWait: cycles per register probe
+	poll   sim.Time   // cycles waited between probes
+	lat    sim.Time   // latency of the probe in flight
+	load   bool       // SpinLoad (probes are timed loads) or SpinWait
+	polled bool       // the pending wake-up ends a poll wait, not a probe
 }
 
 // Machine is the whole simulated multiprocessor.
@@ -352,18 +375,103 @@ func (p *Proc) Prefetch(addr shmem.Addr, excl bool) {
 	p.Compute(1)
 }
 
-// charge attributes a memory access latency: the L1-hit portion counts as
-// busy work, the remainder as a stall in the current category.
+// charge stalls the processor for a memory access latency and attributes
+// it.
 func (p *Proc) charge(lat sim.Time) {
+	p.Ctx.Advance(lat)
+	p.chargeStats(lat)
+}
+
+// chargeStats attributes a memory access latency: the L1-hit portion
+// counts as busy work, the remainder as a stall in the current category.
+func (p *Proc) chargeStats(lat sim.Time) {
 	hit := p.Node.M.P.L1HitCycles
 	if lat <= hit {
-		p.Ctx.Advance(lat)
 		p.Bd.Add(stats.CatBusy, lat)
 		return
 	}
-	p.Ctx.Advance(lat)
 	p.Bd.Add(stats.CatBusy, hit)
 	p.Bd.Add(p.cat, lat-hit)
+}
+
+// ---- Spin waits -------------------------------------------------------------
+
+// SpinLoad spins on a flag in shared memory. It is exactly
+//
+//	for {
+//		p.Load(addr)
+//		if cond.Done() {
+//			break
+//		}
+//		p.Wait(poll)
+//	}
+//
+// with the same accesses, counters, trace records, breakdown charges and
+// event order, but every round after the first load runs in engine context
+// (sim.Context.Poll), so the whole wait resumes the processor's coroutine
+// once.
+func (p *Proc) SpinLoad(addr shmem.Addr, poll sim.Time, cond Cond) {
+	p.spin = spin{p: p, cond: cond, addr: addr, poll: poll, load: true}
+	p.Ctx.Poll(p.spin.issue(), &p.spin)
+}
+
+// SpinWait spins on the pair registers. It is exactly
+//
+//	for {
+//		p.Wait(probe)
+//		if cond.Done() {
+//			break
+//		}
+//		p.Wait(poll)
+//	}
+//
+// where probe is the register access cost, with its rounds run the way
+// SpinLoad runs them.
+func (p *Proc) SpinWait(probe, poll sim.Time, cond Cond) {
+	p.spin = spin{p: p, cond: cond, probe: probe, poll: poll}
+	p.Ctx.Poll(p.spin.issue(), &p.spin)
+}
+
+// issue starts one probe and returns its latency.
+func (s *spin) issue() sim.Time {
+	s.polled = false
+	if !s.load {
+		s.lat = s.probe
+		return s.lat
+	}
+	p := s.p
+	p.Loads++
+	s.lat = p.access(s.addr, false, false)
+	p.trace(trace.Load, s.addr, int64(s.lat))
+	return s.lat
+}
+
+// Step runs the spin from one wake-up to its next park: it charges the
+// wait that just ended, checks cond after a probe, and returns the next
+// delay, or 0 once cond holds. Zero-cycle waits do not park, as Wait(0)
+// does not.
+func (s *spin) Step() sim.Time {
+	p := s.p
+	for {
+		if s.polled {
+			p.Bd.Add(p.cat, s.poll)
+			if d := s.issue(); d != 0 {
+				return d
+			}
+		}
+		if s.load {
+			p.chargeStats(s.lat)
+		} else {
+			p.Bd.Add(p.cat, s.lat)
+		}
+		if s.cond.Done() {
+			return 0
+		}
+		s.polled = true
+		if s.poll != 0 {
+			return s.poll
+		}
+	}
 }
 
 // ---- The access path -------------------------------------------------------

@@ -93,3 +93,45 @@ func TestStaticScheduleIterationAllocFree(t *testing.T) {
 			small, large, slope)
 	}
 }
+
+// slipRunAllocs measures one slipstream run of a parallel region with n
+// critical sections, n barriers and a dynamically scheduled loop of n
+// chunks: the spins of the runtime and the slipstream controller (job
+// flag, region pickup, team barrier, A-stream tokens, lock, and the
+// scheduling-decision handoff in both directions) scale with n.
+func slipRunAllocs(t *testing.T, n int) float64 {
+	t.Helper()
+	p := machine.DefaultParams()
+	p.Nodes = 2
+	return testing.AllocsPerRun(5, func() {
+		rt, err := New(Config{Machine: p, Mode: core.ModeSlipstream, Slipstream: core.L1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := rt.NewF64(1)
+		err = rt.Run(func(m *Thread) {
+			m.Parallel(func(th *Thread) {
+				add := func() { th.StF(sum, 0, th.LdF(sum, 0)+1) }
+				for i := 0; i < n; i++ {
+					th.Critical(add)
+					th.Barrier()
+				}
+				th.ForSched(Dynamic, 1, 0, n, false, func(int) { th.Compute(50) })
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// Spin waits allocate nothing per wait: their conditions live in the
+// thread and controller state they read, not in a closure per spin.
+func TestSpinWaitsAllocFree(t *testing.T) {
+	small := slipRunAllocs(t, 10)
+	large := slipRunAllocs(t, 1010)
+	if slope := (large - small) / 1000; slope > 0.01 {
+		t.Fatalf("spin waits allocate: %.0f allocs at n=10, %.0f at n=1010 (%.4f allocs per n)",
+			small, large, slope)
+	}
+}

@@ -246,22 +246,26 @@ func (rt *Runtime) slaveLoop(t *Thread) {
 	poll := rt.Cfg.Machine.SpinPollCycles
 	for {
 		old := t.P.SetCategory(stats.CatJobWait)
-		var seq int64
-		for {
-			t.P.Load(rt.jobSeq.Addr(0))
-			seq = rt.jobSeq.Get(0)
-			if seq < 0 || seq > t.lastSeq {
-				break
-			}
-			t.P.Wait(poll)
-		}
+		t.P.SpinLoad(rt.jobSeq.Addr(0), poll, jobWait{t})
 		t.P.SetCategory(old)
+		seq := rt.jobSeq.Get(0)
 		if seq < 0 {
 			return
 		}
 		t.lastSeq = seq
 		t.runRegion(rt.jobs[seq], seq)
 	}
+}
+
+// jobWait holds once the job flag names a region its thread has not run
+// yet, or the end-of-program sentinel. It is pointer-shaped, so passing it
+// as a machine.Cond does not allocate.
+type jobWait struct{ t *Thread }
+
+// Done implements machine.Cond.
+func (w jobWait) Done() bool {
+	seq := w.t.rt.jobSeq.Get(0)
+	return seq < 0 || seq > w.t.lastSeq
 }
 
 // Parallel opens a parallel region executing body on every team thread

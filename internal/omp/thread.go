@@ -32,6 +32,24 @@ type Thread struct {
 	curTask    int32 // currently executing task ID (implicit = id+1)
 	barSense   int64
 	lastSeq    int64
+
+	cellWait cellWait // spinUntilCell's condition, kept here so a spin allocates nothing
+}
+
+// cellWait holds once cell[0] == want.
+type cellWait struct {
+	cell *shmem.I64
+	want int64
+}
+
+// Done implements machine.Cond.
+func (w *cellWait) Done() bool { return w.cell.Get(0) == w.want }
+
+// spinUntilCell spins with loads of cell[0], polling every poll cycles,
+// until it holds want.
+func (t *Thread) spinUntilCell(cell *shmem.I64, want int64, poll sim.Time) {
+	t.cellWait = cellWait{cell: cell, want: want}
+	t.P.SpinLoad(cell.Addr(0), poll, &t.cellWait)
 }
 
 // ID returns the OpenMP thread number (shared by an A–R pair).
@@ -169,13 +187,7 @@ func (t *Thread) teamBarrier() {
 		t.P.Store(rt.barSense.Addr(0))
 		rt.barSense.Set(0, mySense)
 	} else {
-		for {
-			t.P.Load(rt.barSense.Addr(0))
-			if rt.barSense.Get(0) == mySense {
-				break
-			}
-			t.P.Wait(poll)
-		}
+		t.spinUntilCell(rt.barSense, mySense, poll)
 	}
 	t.barSense = mySense
 	t.P.SetCategory(old)
@@ -297,13 +309,7 @@ func (t *Thread) ForOrdered(lo, hi int, body func(i int, ordered func(func()))) 
 			return
 		}
 		old := t.P.SetCategory(stats.CatLock)
-		for {
-			t.P.Load(cell.Addr(0))
-			if cell.Get(0) == int64(cur) {
-				break
-			}
-			t.P.Wait(poll)
-		}
+		t.spinUntilCell(cell, int64(cur), poll)
 		t.P.SetCategory(old)
 		fn()
 		t.P.Store(cell.Addr(0))
@@ -418,19 +424,19 @@ type Lock struct {
 	w *shmem.I64
 }
 
-// lockAcquire spins until the lock is taken, charging waits to cat.
+// lockAcquire spins until the lock is taken, charging waits to cat: it
+// spins with loads until the lock reads free, then tries to take it with
+// one RMW.
 func (t *Thread) lockAcquire(l *Lock, cat stats.Category) {
 	poll := t.rt.Cfg.Machine.SpinPollCycles
 	old := t.P.SetCategory(cat)
 	for {
-		t.P.Load(l.w.Addr(0))
+		t.spinUntilCell(l.w, 0, poll)
+		t.P.RMW(l.w.Addr(0))
 		if l.w.Get(0) == 0 {
-			t.P.RMW(l.w.Addr(0))
-			if l.w.Get(0) == 0 {
-				l.w.Set(0, 1)
-				t.P.SetCategory(old)
-				return
-			}
+			l.w.Set(0, 1)
+			t.P.SetCategory(old)
+			return
 		}
 		t.P.Wait(poll)
 	}

@@ -21,6 +21,18 @@
 // path: events are plain values in a concrete 4-ary heap (no
 // container/heap interface boxing).
 //
+// Parks, polls and handoffs: every park (Advance, WaitUntil) schedules one
+// wake-up event, and waking it resumes the coroutine — one handoff per
+// event. A context that would only spin (check a condition, wait, check
+// again) parks once in Poll instead: at each of its later wake-ups the
+// engine runs the poll's Stepper in engine context and re-schedules the
+// context by the delay it returns, exactly as Advance would. Each poll
+// round is still one event in the same heap position, so simulated time
+// and event order are unchanged, but only the final round, which ends the
+// wait, resumes the coroutine. Events() counts every wake-up; Handoffs()
+// counts only coroutine resumes, so Handoffs() < Events() whenever a
+// context polls.
+//
 // The build constraint raises this file's language version to go1.23, the
 // release that added iter.Pull, while go.mod keeps the module at go 1.22
 // so that modules pinned at go 1.22 (perfbench) can still depend on it.
@@ -132,7 +144,8 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Events() uint64 { return e.popped }
 
 // Handoffs returns how many times Run has resumed a context: one per
-// context start plus one per park that was woken.
+// context start plus one per park that was woken, not counting the poll
+// rounds a Poll step handled in engine context.
 func (e *Engine) Handoffs() uint64 { return e.handoffs }
 
 // schedule enqueues an event at absolute time at.
@@ -194,6 +207,13 @@ func (e *Engine) Run() error {
 		if c.finished {
 			continue
 		}
+		if c.step != nil {
+			if d := c.step.Step(); d != 0 {
+				e.schedule(e.now+d, c, nil)
+				continue
+			}
+			c.step = nil
+		}
 		e.handoffs++
 		if _, ok := c.next(); !ok {
 			c.finished = true
@@ -229,6 +249,7 @@ func (e *Engine) Close() {
 func (e *Engine) teardown() {
 	for _, c := range e.contexts {
 		if !c.finished {
+			c.step = nil
 			c.stop()
 			c.finished = true
 		}
@@ -256,6 +277,7 @@ type Context struct {
 	next     func() (struct{}, bool) // resumes the body until it parks or returns
 	stop     func()                  // unwinds a parked body, or cancels an unstarted one
 	yield    func(struct{}) bool     // parks the body; false once stop was called
+	step     Stepper                 // non-nil while parked in Poll
 	finished bool
 }
 
@@ -294,24 +316,79 @@ func (c *Context) Advance(d Time) {
 	c.park()
 }
 
+// A Stepper runs the rounds of a Poll.
+type Stepper interface {
+	// Step runs one round at a wake-up of the polling context and returns
+	// the delay until the next round, or 0 to resume the context.
+	Step() Time
+}
+
+// StepFunc adapts a function to a Stepper.
+type StepFunc func() Time
+
+// Step calls f.
+func (f StepFunc) Step() Time { return f() }
+
+// Poll parks the context for a wait made of rounds that need no coroutine
+// of their own. It behaves exactly like
+//
+//	for {
+//		c.Advance(d)
+//		if d = step.Step(); d == 0 {
+//			return
+//		}
+//	}
+//
+// except that after the first park, Step runs in engine context at each
+// wake-up: a non-zero result re-schedules the context d cycles later, as
+// Advance(d) would, without resuming the coroutine, and 0 resumes it at the
+// current event. Step must not park (it runs outside the coroutine) and
+// must not return 0 for a round that still has time to wait. A pointer to
+// state the caller already owns makes a Stepper without allocating, so
+// Poll itself is allocation-free. A panic in Step surfaces from
+// Engine.Run; teardown unwinds a context parked in Poll like any other
+// parked context.
+func (c *Context) Poll(d Time, step Stepper) {
+	if d == 0 {
+		if d = step.Step(); d == 0 {
+			return
+		}
+	}
+	c.eng.schedule(c.eng.now+d, c, nil)
+	c.step = step
+	c.park()
+}
+
 // SpinUntil repeatedly evaluates cond, advancing poll cycles between
 // evaluations (and charging perPoll, e.g. a flag load latency, via the
 // charge callback if non-nil). It returns the total cycles spent waiting.
 // cond is evaluated once immediately; if already true the wait is free.
+// The rounds run as a Poll, so cond and charge are called in engine
+// context and must not park.
 func (c *Context) SpinUntil(cond func() bool, poll Time, charge func() Time) Time {
 	if poll == 0 {
 		poll = 1
 	}
 	start := c.eng.now
-	for !cond() {
-		if charge != nil {
-			c.Advance(charge())
+	charged := false // the pending wake-up ends a charge, not a poll
+	c.Poll(0, StepFunc(func() Time {
+		if !charged {
+			if cond() {
+				return 0
+			}
+			if charge != nil {
+				if d := charge(); d != 0 {
+					charged = true
+					return d
+				}
+			}
 		}
+		charged = false
 		if cond() {
-			break
+			return 0
 		}
-		c.Advance(poll)
-	}
+		return poll
+	}))
 	return c.eng.now - start
 }
 

@@ -19,9 +19,15 @@
 // A benchmark present in the baseline but missing from the candidate is a
 // failure too: silently dropping a gated benchmark must not pass the
 // ratchet.
+//
+// Files are benchjson's {"host", "benchmarks"} object; baselines written
+// before benchjson stamped the host are a bare array of rows and still
+// load. When both files carry a host stamp and the stamps differ, the
+// comparison runs but says so, since ns/op then compares two machines.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -43,6 +49,28 @@ type Bench struct {
 	SimCycles     int64 `json:"sim_cycles,omitempty"`
 	EventsPerOp   int64 `json:"events_op,omitempty"`
 	HandoffsPerOp int64 `json:"handoffs_op,omitempty"`
+}
+
+// File mirrors tools/benchjson's output document.
+type File struct {
+	Host       *Host   `json:"host"`
+	Benchmarks []Bench `json:"benchmarks"`
+}
+
+// Host mirrors tools/benchjson's host stamp.
+type Host struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	CPU        string `json:"cpu,omitempty"`
+	GoVersion  string `json:"go_version"`
+}
+
+// String renders the stamp on one line.
+func (h *Host) String() string {
+	if h == nil {
+		return "unrecorded host"
+	}
+	return fmt.Sprintf("%s, GOMAXPROCS=%d, %d CPUs (%s)", h.GoVersion, h.GOMAXPROCS, h.NumCPU, h.CPU)
 }
 
 // metrics is the min-of-N aggregate of one benchmark's rows.
@@ -183,19 +211,26 @@ func latestBaseline(dir string) (string, error) {
 	return best, nil
 }
 
-func load(path string) (map[string]*metrics, error) {
+// load reads a benchmark file in either format and aggregates its rows;
+// the host is nil for a bare-array baseline.
+func load(path string) (map[string]*metrics, *Host, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var rows []Bench
-	if err := json.Unmarshal(data, &rows); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
+	var f File
+	if bytes.HasPrefix(bytes.TrimSpace(data), []byte("[")) {
+		err = json.Unmarshal(data, &f.Benchmarks)
+	} else {
+		err = json.Unmarshal(data, &f)
 	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("%s: no benchmark rows", path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %v", path, err)
 	}
-	return aggregate(rows), nil
+	if len(f.Benchmarks) == 0 {
+		return nil, nil, fmt.Errorf("%s: no benchmark rows", path)
+	}
+	return aggregate(f.Benchmarks), f.Host, nil
 }
 
 func main() {
@@ -227,15 +262,19 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	base, err := load(basePath)
+	base, baseHost, err := load(basePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	cand, err := load(*newPath)
+	cand, candHost, err := load(*newPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
+	}
+	fmt.Printf("benchdiff: baseline on %v; candidate on %v\n", baseHost, candHost)
+	if baseHost != nil && candHost != nil && *baseHost != *candHost {
+		fmt.Println("benchdiff: note: the hosts differ; ns/op compares two machines")
 	}
 
 	for name, m := range cand {

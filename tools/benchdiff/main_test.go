@@ -108,3 +108,39 @@ func TestLatestBaseline(t *testing.T) {
 		t.Fatal("empty dir should yield an error")
 	}
 }
+
+// Both file formats load: benchjson's stamped object and the bare arrays
+// of the baselines written before it stamped the host.
+func TestLoadBothFormats(t *testing.T) {
+	dir := t.TempDir()
+	bare := filepath.Join(dir, "BENCH_PR12.json")
+	stamped := filepath.Join(dir, "BENCH_PR14.json")
+	files := map[string]string{
+		bare: `[{"name": "BenchmarkA", "iterations": 3, "ns_op": 100, "allocs_op": 7, "handoffs_op": 40}]`,
+		stamped: `{"host": {"gomaxprocs": 4, "num_cpu": 2, "cpu": "Test CPU", "go_version": "go1.24.0"},
+			"benchmarks": [{"name": "BenchmarkA", "iterations": 3, "ns_op": 90, "allocs_op": 7, "handoffs_op": 12}]}`,
+	}
+	for path, text := range files {
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old, oldHost, err := load(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oldHost != nil || old["BenchmarkA"] == nil || old["BenchmarkA"].handoffs != 40 {
+		t.Fatalf("bare array: host %v, rows %+v", oldHost, old["BenchmarkA"])
+	}
+	cur, host, err := load(stamped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Host{GOMAXPROCS: 4, NumCPU: 2, CPU: "Test CPU", GoVersion: "go1.24.0"}
+	if host == nil || *host != want || cur["BenchmarkA"] == nil || cur["BenchmarkA"].handoffs != 12 {
+		t.Fatalf("stamped file: host %v, rows %+v", host, cur["BenchmarkA"])
+	}
+	if _, failed := compare(old, cur, 0.10, 0.10); !failed {
+		t.Fatal("a handoffs/op change across formats passed the ratchet")
+	}
+}
