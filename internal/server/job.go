@@ -132,7 +132,8 @@ func (j *Job) finish(result []byte, errMsg string) bool {
 
 // abort cancels the job: queued jobs fail immediately, running jobs get
 // their context cancelled (the runner aborts remaining cells and the
-// worker then fails the job). Terminal jobs are left alone.
+// worker then fails the job). Terminal jobs are left alone. It reports
+// the state the job was in and whether the cancel took.
 func (j *Job) abort(reason string) (State, bool) {
 	j.mu.Lock()
 	if j.state == StateQueued {
@@ -141,7 +142,7 @@ func (j *Job) abort(reason string) (State, bool) {
 		j.finished = time.Now()
 		close(j.done)
 		j.mu.Unlock()
-		return StateFailed, true
+		return StateQueued, true
 	}
 	if j.state == StateRunning && j.cancel != nil {
 		cancel := j.cancel

@@ -2,9 +2,11 @@ package server
 
 import (
 	"flag"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -16,11 +18,18 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // Regenerate with: go test ./internal/server -run TestMetricsCoordinatorGolden -update
 func TestMetricsCoordinatorGolden(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, Cluster: &fakeCluster{}})
-	got, status := getBody(t, ts.URL+"/metrics")
+	checkMetricsGolden(t, ts.URL, "metrics_coordinator.golden")
+}
+
+// checkMetricsGolden compares a server's /metrics body with a golden
+// file under testdata/, rewriting the file first under -update.
+func checkMetricsGolden(t *testing.T, base, name string) {
+	t.Helper()
+	got, status := getBody(t, base+"/metrics")
 	if status != 200 {
 		t.Fatalf("GET /metrics = %d", status)
 	}
-	path := filepath.Join("testdata", "metrics_coordinator.golden")
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -34,6 +43,108 @@ func TestMetricsCoordinatorGolden(t *testing.T) {
 		t.Fatalf("read golden (regenerate with -update): %v", err)
 	}
 	if got != string(want) {
-		t.Fatalf("coordinator /metrics differs from %s (regenerate with -update if intended):\n--- got ---\n%s--- want ---\n%s", path, got, want)
+		t.Fatalf("/metrics differs from %s (regenerate with -update if intended):\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
+// The plain-server /metrics exposition, byte for byte, after a fixed
+// sequence that touches every non-coordinator family: two declared
+// tenants and one undeclared key, a done run, a cache hit, a dedup, a
+// cancelled queued job, a cancelled campaign with a collapsed, a
+// cancelled and a skipped cell, and a job held queued by the worker's
+// testBeforeRun hook. Run latencies are wall clock, so the histogram is
+// refilled with fixed durations before the scrape.
+// Regenerate with: go test ./internal/server -run TestMetricsServerGolden -update
+func TestMetricsServerGolden(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		Workers: 1,
+		Tenants: []TenantConfig{
+			{Name: "alpha", Key: "sk-alpha", TenantLimits: TenantLimits{Weight: 2}},
+			{Name: "beta", Key: "sk-beta", TenantLimits: TenantLimits{Weight: 3, Backlog: 4}},
+		},
+	})
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	s.testBeforeRun = func(j *Job) {
+		if j.tenant == "beta" {
+			close(entered)
+			<-release
+		}
+	}
+	defer close(release)
+
+	// A done run; its event stream closes only after the latency
+	// observation, so the histogram reset below cannot race it.
+	resp, sr := submitAs(t, ts, "sk-alpha", runSpecBody)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("first run = %d", resp.StatusCode)
+	}
+	if j := await(t, s, sr.Job.ID); j.stateNow() != StateDone {
+		t.Fatalf("first run = %+v", j.snapshot())
+	}
+	getBody(t, ts.URL+"/jobs/"+sr.Job.ID+"/events")
+
+	// The same spec again is a cache hit.
+	if resp, sr = submitAs(t, ts, "sk-alpha", runSpecBody); !sr.Cached {
+		t.Fatalf("resubmission = %d %+v, want a cache hit", resp.StatusCode, sr)
+	}
+
+	// beta's job is held at the worker, still queued; an identical
+	// submission dedups onto it.
+	if resp, _ = submitAs(t, ts, "sk-beta", specWithNodes(2, "")); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("held job = %d", resp.StatusCode)
+	}
+	<-entered
+	if resp, sr = submitAs(t, ts, "sk-beta", specWithNodes(2, "")); !sr.Dedup {
+		t.Fatalf("identical submission = %d %+v, want a dedup", resp.StatusCode, sr)
+	}
+
+	// An undeclared key is its own tenant; its job is cancelled queued.
+	resp, sr = submitAs(t, ts, "sk-guest", specWithNodes(3, ""))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("guest job = %d", resp.StatusCode)
+	}
+	deleteOK(t, ts.URL+"/jobs/"+sr.Job.ID)
+
+	// Campaign a → b → c: a is a cache hit, b queues behind the held
+	// job, c is pending. Cancelling fails b and skips c.
+	body := `{"cells":[` + campCellBody("a", 4) + "," + campCellBody("b", 5, "a") + "," + campCellBody("c", 6, "b") + "]}"
+	resp, cv := postCampaign(t, ts, "sk-alpha", body)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("campaign = %d", resp.StatusCode)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for cellState(t, getCampaign(t, ts, cv.ID), "b").Job == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("campaign cell b never launched")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	deleteOK(t, ts.URL+"/campaigns/"+cv.ID)
+	if final := awaitCampaign(t, ts, cv.ID); final.DoneCells != 1 || final.FailedCells != 1 || final.SkippedCells != 1 {
+		t.Fatalf("campaign rollup = %+v", final)
+	}
+
+	s.metrics.mu.Lock()
+	s.metrics.latency = map[string]*histogram{}
+	s.metrics.mu.Unlock()
+	for _, d := range []time.Duration{40 * time.Millisecond, 1500 * time.Millisecond} {
+		s.metrics.observeLatency("CG", d)
+	}
+	s.metrics.observeLatency("static", 75*time.Second)
+
+	checkMetricsGolden(t, ts.URL, "metrics_server.golden")
+}
+
+func deleteOK(t *testing.T, url string) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, url, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE %s = %d", url, resp.StatusCode)
 	}
 }

@@ -331,6 +331,39 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// TestCancelQueuedSettlesAtOnce: DELETE on a queued job settles it
+// there and then — its scheduler slot is freed and its event stream
+// ends with a terminal state — without waiting for a worker to reach it.
+func TestCancelQueuedSettlesAtOnce(t *testing.T) {
+	release := make(chan struct{})
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.testBeforeRun = func(*Job) { <-release }
+	defer close(release)
+
+	submit(t, ts, runSpecBody) // held at the worker
+	srB, _ := submit(t, ts, `{"kind":"run","kernel":"MG","nodes":4}`)
+	if d := s.sched.depth(); d != 1 {
+		t.Fatalf("queue depth before cancel = %d, want 1", d)
+	}
+	deleteOK(t, ts.URL+"/jobs/"+srB.Job.ID)
+	if d := s.sched.depth(); d != 0 {
+		t.Fatalf("queue depth after cancel = %d, want 0", d)
+	}
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Get(ts.URL + "/jobs/" + srB.Job.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("event stream of a cancelled job did not end: %v", err)
+	}
+	if !strings.Contains(string(body), "event: state\ndata: failed") {
+		t.Fatalf("event stream = %q, want a terminal failed state", body)
+	}
+}
+
 func TestQueueFullSheds(t *testing.T) {
 	release := make(chan struct{})
 	s := New(Config{Workers: 1, QueueDepth: 1})
