@@ -22,7 +22,10 @@
 // heartbeat. Coordinators peered with -join-coordinator replicate the
 // claim table to each other leader-lessly, so any one of them can be
 // SIGKILLed without stranding work — a survivor's lease sweep reclaims
-// in-flight jobs and serves the byte-identical result. With zero live
+// in-flight jobs and serves the byte-identical result. A peer that fails
+// 5 replication pushes in a row is skipped for one -claim-lease, then
+// probed once (a circuit breaker; its state is on /readyz and in
+// /metrics). With zero live
 // workers a coordinator executes jobs locally and sets "degraded":true
 // on /readyz.
 //
@@ -53,7 +56,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/cluster/netchaos"
 	"repro/internal/server"
 	"repro/internal/store"
 )
@@ -78,11 +80,6 @@ func main() {
 		workerID    = flag.String("worker-id", "", "stable worker identity (default: host:port of -addr)")
 		claimLease  = flag.Duration("claim-lease", 10*time.Second, "coordinator: claim lease duration; an unrenewed lease this old is reclaimed and a worker silent this long is dead (sweep, replication and watchdog run at a tenth of it)")
 		claimPoll   = flag.Duration("claim-poll", 2*time.Second, "long-poll hold for POST /cluster/claims (coordinator cap and worker request)")
-		brkFails    = flag.Int("breaker-failures", 0, "coordinator: consecutive replication failures before a peer's circuit breaker opens (default 5)")
-		brkCooldown = flag.Duration("breaker-cooldown", 0, "coordinator: how long an open peer breaker waits before its half-open probe (default -claim-lease)")
-		maxReplLag  = flag.Duration("max-replication-lag", 0, "coordinator: shed new jobs (503 + Retry-After) while every peer's replication lag exceeds this (0 = never shed)")
-		chaosSpec   = flag.String("chaos-spec", "", "inject seeded control-plane faults on this node's outbound fleet HTTP, e.g. drop=0.05,delay=0.1:1ms:20ms,dup=0.02,reorder=0.05,skew=50ms (testing only)")
-		chaosSeed   = flag.Uint64("chaos-seed", 1, "seed for -chaos-spec; one seed fully determines the fault schedule")
 
 		tenantWeight  = flag.Int("tenant-weight", 0, "default fair-queueing weight for tenants not named by -tenant (0 = 1)")
 		tenantRate    = flag.Float64("tenant-rate", 0, "default per-tenant admission rate in jobs/sec (0 = unlimited)")
@@ -138,11 +135,6 @@ func main() {
 		workerID:    *workerID,
 		lease:       *claimLease,
 		poll:        *claimPoll,
-		brkFails:    *brkFails,
-		brkCooldown: *brkCooldown,
-		maxReplLag:  *maxReplLag,
-		chaosSpec:   *chaosSpec,
-		chaosSeed:   *chaosSeed,
 	}
 	if err := run(*addr, cfg, fleet, *drain); err != nil {
 		fmt.Fprintln(os.Stderr, "slipd:", err)
@@ -159,11 +151,6 @@ type fleetConfig struct {
 	workerID    string
 	lease       time.Duration
 	poll        time.Duration
-	brkFails    int
-	brkCooldown time.Duration
-	maxReplLag  time.Duration
-	chaosSpec   string
-	chaosSeed   uint64
 }
 
 // parseTenant parses one -tenant value: name:key[:weight[:rate[:burst[:backlog]]]].
@@ -231,40 +218,15 @@ func run(addr string, cfg server.Config, fleet fleetConfig, drain time.Duration)
 		fmt.Fprintf(os.Stderr, "slipd: "+format+"\n", args...)
 	}
 
-	// Control-plane chaos (testing only): a seeded fault layer on this
-	// node's outbound fleet HTTP — claims, renewals, replication — so a
-	// live fleet can be drilled with reproducible network weather. The
-	// data plane (client-facing /jobs) is untouched.
-	var fleetHTTP *http.Client
-	if fleet.chaosSpec != "" {
-		spec, err := netchaos.ParseSpec(fleet.chaosSpec)
-		if err != nil {
-			return fmt.Errorf("parse -chaos-spec: %w", err)
-		}
-		spec.Seed = fleet.chaosSeed
-		chaos, err := netchaos.New(spec)
-		if err != nil {
-			return fmt.Errorf("arm -chaos-spec: %w", err)
-		}
-		self := selfURL(addr)
-		fleetHTTP = &http.Client{Transport: chaos.Transport(self, nil)}
-		cfg.ChaosInjected = func() uint64 { return chaos.Counters().Total() }
-		logf("control-plane chaos armed: %s (seed %d)", spec, fleet.chaosSeed)
-	}
-
 	var co *cluster.Coordinator
 	if fleet.coordinator {
 		ccfg := cluster.Config{
-			LeaseDuration:     fleet.lease,
-			ClaimWait:         fleet.poll,
-			MaxAttempts:       cfg.MaxAttempts,
-			Peers:             fleet.peers,
-			SelfID:            selfURL(addr),
-			BreakerFailures:   fleet.brkFails,
-			BreakerCooldown:   fleet.brkCooldown,
-			MaxReplicationLag: fleet.maxReplLag,
-			HTTPClient:        fleetHTTP,
-			Logf:              logf,
+			LeaseDuration: fleet.lease,
+			ClaimWait:     fleet.poll,
+			MaxAttempts:   cfg.MaxAttempts,
+			Peers:         fleet.peers,
+			SelfID:        selfURL(addr),
+			Logf:          logf,
 		}
 		if cfg.DataDir != "" {
 			// The claim table gets its own journal beside the server's: a
@@ -344,11 +306,10 @@ func run(addr string, cfg server.Config, fleet fleetConfig, drain time.Duration)
 			Slots:        cfg.Workers,
 			PollWait:     fleet.poll,
 			KeyFor:       srv.CacheKeyFor,
-			HTTPClient:   fleetHTTP,
 			Run: func(ctx context.Context, spec []byte) ([]byte, error) {
 				view, _, err := srv.SubmitJSON(spec)
 				if err != nil {
-					if errors.Is(err, server.ErrQueueFull) || errors.Is(err, server.ErrDraining) || errors.Is(err, server.ErrBackpressure) {
+					if errors.Is(err, server.ErrQueueFull) || errors.Is(err, server.ErrDraining) {
 						// Transient local refusal: abandon without a report so
 						// the lease expires instead of burning an attempt.
 						return nil, fmt.Errorf("%w: %v", cluster.ErrClaimAbandoned, err)

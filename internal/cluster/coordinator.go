@@ -32,21 +32,10 @@ type Config struct {
 	MaxAttempts int
 	// Peers are the other coordinators' base URLs. The claim table is
 	// replicated to each of them every cadence tick (and on every
-	// mutation), leader-lessly.
+	// mutation), leader-lessly, behind a per-peer circuit breaker that
+	// opens after breakerFailures failed pushes and probes again one
+	// LeaseDuration later.
 	Peers []string
-	// BreakerFailures is how many consecutive replication failures open a
-	// peer's circuit breaker (default 5). While open, pushes to that peer
-	// are skipped until BreakerCooldown elapses; the first push after the
-	// cooldown is a half-open probe whose outcome closes or re-opens it.
-	BreakerFailures int
-	// BreakerCooldown is how long an open breaker waits before probing
-	// (default LeaseDuration).
-	BreakerCooldown time.Duration
-	// MaxReplicationLag, when positive, arms backpressure: if every
-	// peer's last successful replication push is older than this, the
-	// server sheds new submissions with 503 + Retry-After until a push
-	// lands again. Zero disables shedding.
-	MaxReplicationLag time.Duration
 	// DisableMergeTerminalWins turns off the incoming-terminal-settles
 	// precedence rule in the claim-table merge. It exists solely so the
 	// simulation harness can prove its invariant checker catches a broken
@@ -79,12 +68,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
-	}
-	if c.BreakerFailures <= 0 {
-		c.BreakerFailures = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = c.LeaseDuration
 	}
 	if c.SelfID == "" {
 		c.SelfID = "coordinator"
@@ -141,7 +124,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 	}
 	co.table.disableTerminalWins = cfg.DisableMergeTerminalWins
 	for _, u := range cfg.Peers {
-		co.peers = append(co.peers, &peerLink{url: u, failures: cfg.BreakerFailures, cooldown: cfg.BreakerCooldown})
+		co.peers = append(co.peers, &peerLink{url: u, cooldown: cfg.LeaseDuration})
 	}
 	if len(co.peers) > 0 {
 		kick := make(chan struct{}, 1)

@@ -14,15 +14,18 @@ import (
 )
 
 // Circuit breaker states for a peer link. A link starts closed; after
-// BreakerFailures consecutive push failures it opens, and pushes are
-// skipped until BreakerCooldown elapses. The first push after the
-// cooldown is a half-open probe: success closes the breaker, failure
-// re-opens it for another cooldown.
+// breakerFailures consecutive push failures it opens, and pushes are
+// skipped until the link's cooldown (one LeaseDuration) elapses. The
+// first push after the cooldown is a half-open probe: success closes
+// the breaker, failure re-opens it for another cooldown.
 const (
 	breakerClosed = iota
 	breakerHalfOpen
 	breakerOpen
 )
+
+// breakerFailures is how many consecutive failed pushes open a breaker.
+const breakerFailures = 5
 
 func breakerName(s int) string {
 	switch s {
@@ -40,7 +43,6 @@ func breakerName(s int) string {
 // concurrently.
 type peerLink struct {
 	url      string
-	failures int           // breaker threshold (consecutive failures)
 	cooldown time.Duration // open → half-open probe delay
 
 	mu        sync.Mutex
@@ -65,22 +67,6 @@ func (p *peerLink) status(now time.Time) server.PeerStatus {
 		s.LagMs = now.Sub(p.lastOK).Milliseconds()
 	}
 	return s
-}
-
-// lag is how far behind this peer's copy of the claim table may be:
-// time since the last successful push. Unattempted peers report zero
-// (the loop hasn't run yet); attempted-but-never-successful peers
-// report the maximum.
-func (p *peerLink) lag(now time.Time) time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.attempted {
-		return 0
-	}
-	if p.lastOK.IsZero() {
-		return time.Duration(1<<63 - 1)
-	}
-	return now.Sub(p.lastOK)
 }
 
 // allow reports whether the replication loop should push to this peer
@@ -126,7 +112,7 @@ func (p *peerLink) observe(now time.Time, err error, logf func(string, ...any)) 
 	}
 	p.fails++
 	opened := false
-	if p.state == breakerHalfOpen || (p.state == breakerClosed && p.fails >= p.failures) {
+	if p.state == breakerHalfOpen || (p.state == breakerClosed && p.fails >= breakerFailures) {
 		p.state = breakerOpen
 		p.openUntil = now.Add(p.cooldown)
 		opened = true
@@ -193,31 +179,4 @@ func (co *Coordinator) postReplicate(url string, body []byte) error {
 		return fmt.Errorf("peer answered HTTP %d", resp.StatusCode)
 	}
 	return nil
-}
-
-// ShedNewJobs implements replication-lag backpressure: it reports true
-// (with a suggested retry delay) when every peer's last successful push
-// is older than MaxReplicationLag — meaning nothing this coordinator
-// accepts right now is durably mirrored anywhere. The server answers
-// new submissions with 503 + Retry-After while this holds. Disabled
-// when MaxReplicationLag is zero or the coordinator has no peers.
-func (co *Coordinator) ShedNewJobs() (time.Duration, bool) {
-	if co.cfg.MaxReplicationLag <= 0 || len(co.peers) == 0 {
-		return 0, false
-	}
-	now := co.cfg.Now()
-	min := time.Duration(1<<63 - 1)
-	for _, p := range co.peers {
-		if l := p.lag(now); l < min {
-			min = l
-		}
-	}
-	if min <= co.cfg.MaxReplicationLag {
-		return 0, false
-	}
-	retry := co.cfg.cadence()
-	if retry < time.Second {
-		retry = time.Second
-	}
-	return retry, true
 }

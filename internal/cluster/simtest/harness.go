@@ -229,8 +229,6 @@ func (n *coordNode) start() error {
 		Replay:                   recs,
 		HTTPClient:               n.h.net.Client(name),
 		Now:                      n.h.net.Chaos().Clock(name),
-		BreakerFailures:          4,
-		BreakerCooldown:          simLease / 2,
 		DisableMergeTerminalWins: n.h.opts.MutateMerge && n.idx > 0,
 		Logf: func(format string, args ...any) {
 			n.h.opts.Logf("["+name+"] "+format, args...)

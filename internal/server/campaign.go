@@ -416,7 +416,7 @@ func (s *Server) launchReady(camp *campaign) {
 				cell.state = cellPending
 			}
 			camp.mu.Unlock()
-			if errors.Is(rerr, ErrQueueFull) || errors.Is(rerr, ErrBackpressure) {
+			if errors.Is(rerr, ErrQueueFull) {
 				// Global pressure: the cells are already admitted, they
 				// just wait for room.
 				time.AfterFunc(campaignRetryDelay, func() { s.launchReady(camp) })
@@ -781,43 +781,6 @@ func (s *Server) handleCampaignCancel(w http.ResponseWriter, r *http.Request) {
 		s.finalizeCampaign(camp)
 	}
 	writeJSON(w, http.StatusOK, s.campaignView(camp))
-}
-
-// campaignStat feeds the /metrics exposition.
-type campaignStat struct {
-	ID        string
-	State     string
-	Total     int
-	Done      int
-	Failed    int
-	Skipped   int
-	Collapsed int
-}
-
-// campaignStats snapshots every campaign in creation order.
-func (s *Server) campaignStats() []campaignStat {
-	s.campMu.Lock()
-	ids := append([]string(nil), s.campOrder...)
-	camps := make([]*campaign, 0, len(ids))
-	for _, id := range ids {
-		camps = append(camps, s.campaigns[id])
-	}
-	s.campMu.Unlock()
-	out := make([]campaignStat, 0, len(camps))
-	for _, camp := range camps {
-		camp.mu.Lock()
-		out = append(out, campaignStat{
-			ID:        camp.ID,
-			State:     camp.state,
-			Total:     len(camp.order),
-			Done:      camp.done,
-			Failed:    camp.failed,
-			Skipped:   camp.skipped,
-			Collapsed: camp.collapsed,
-		})
-		camp.mu.Unlock()
-	}
-	return out
 }
 
 // --- journal rebuild -------------------------------------------------

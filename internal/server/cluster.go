@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 )
 
 // Fleet seam: a Server configured with a Cluster backend routes job
@@ -70,14 +69,6 @@ type Cluster interface {
 	Stats() ClusterStats
 }
 
-// Shedder is the optional backpressure seam a Cluster backend may
-// implement: when it reports shed=true, the admission path refuses
-// brand-new submissions with ErrBackpressure (503 + Retry-After over
-// HTTP) until replication catches back up.
-type Shedder interface {
-	ShedNewJobs() (retryAfter time.Duration, shed bool)
-}
-
 // executeOrDispatch is the seam runJob calls: without a cluster backend
 // it executes in-process; with one it dispatches, falling back to local
 // execution when no worker is available.
@@ -87,7 +78,7 @@ func (s *Server) executeOrDispatch(ctx context.Context, c *compiledSpec, j *Job)
 	}
 	result, err := s.cfg.Cluster.Dispatch(ctx, j.Key, c.label(), j.tenant, j.priority, c.spec, j.broker)
 	if errors.Is(err, ErrNoWorkers) {
-		s.metrics.localFallback()
+		s.metrics.localFalls.Add(1)
 		fmt.Fprintf(j.broker, "cluster: no live workers; executing locally in degraded mode\n")
 		return s.executeGuarded(ctx, c, j)
 	}

@@ -39,7 +39,7 @@ func Open(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		cache:     newLRUCache(cfg.CacheBytes),
-		metrics:   newMetrics(),
+		metrics:   &metrics{latency: map[string]*histogram{}},
 		jobs:      map[string]*Job{},
 		inflight:  map[string]*Job{},
 		campaigns: map[string]*campaign{},
@@ -115,7 +115,7 @@ func (s *Server) noteJobID(id string) {
 func (s *Server) rehydrateDone(r store.Record) {
 	bytes, ok, err := s.store.Get(r.Key)
 	if err != nil {
-		s.metrics.journalError()
+		s.metrics.journalErrs.Add(1)
 	}
 	if !ok {
 		s.requeue(r)
@@ -147,7 +147,7 @@ func (s *Server) restoreTerminal(r store.Record, st State, errMsg string, result
 	j.broker.close()
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
-	s.metrics.jobRestored(st, false)
+	s.metrics.recovered.Add(1)
 }
 
 // requeue puts a crash-interrupted job back on the queue, charging its
@@ -198,7 +198,7 @@ func (s *Server) requeue(r store.Record) {
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
 	s.inflight[key] = j
-	s.metrics.jobRestored(StateQueued, true)
+	s.metrics.requeued.Add(1)
 	s.journalAppend(store.Record{Job: j.ID, Key: key, State: string(StateQueued), Attempts: next, Spec: specJSON(c.spec), Tenant: r.Tenant, Priority: PriorityName(c.priority), Campaign: r.Campaign, Cell: r.Cell}, false)
 
 	// Exponential backoff between requeues: the first retry waits one
@@ -246,7 +246,7 @@ func (s *Server) journalAppend(r store.Record, sync bool) {
 		return
 	}
 	if err := s.journal.Append(r, sync); err != nil {
-		s.metrics.journalError()
+		s.metrics.journalErrs.Add(1)
 	}
 }
 
@@ -271,7 +271,7 @@ func (s *Server) cacheGet(key string) ([]byte, bool) {
 	}
 	b, ok, err := s.store.Get(key)
 	if err != nil {
-		s.metrics.journalError()
+		s.metrics.journalErrs.Add(1)
 		return nil, false
 	}
 	if !ok {
@@ -286,7 +286,7 @@ func (s *Server) cacheGet(key string) ([]byte, bool) {
 func (s *Server) cachePut(key string, val []byte) {
 	if s.store != nil {
 		if err := s.store.Put(key, val); err != nil {
-			s.metrics.journalError()
+			s.metrics.journalErrs.Add(1)
 		}
 	}
 	s.cache.Put(key, val)
@@ -324,23 +324,11 @@ func (s *Server) closePersistence() {
 		return
 	}
 	if err := s.journal.Compact(); err != nil {
-		s.metrics.journalError()
+		s.metrics.journalErrs.Add(1)
 	}
 	if err := s.journal.Close(); err != nil {
-		s.metrics.journalError()
+		s.metrics.journalErrs.Add(1)
 	}
-}
-
-// durabilityStats snapshots the journal/store gauges for /metrics.
-func (s *Server) durabilityStats() durabilityStats {
-	var d durabilityStats
-	if s.journal != nil {
-		d.JournalBytes = s.journal.Size()
-	}
-	if s.store != nil {
-		d.StoreHits, d.StoreMisses = s.store.Stats()
-	}
-	return d
 }
 
 // handleReady is the readiness probe: 200 only after journal replay
@@ -396,7 +384,5 @@ func (s *Server) handleResultByKey(w http.ResponseWriter, r *http.Request) {
 // terminal state and how many it requeued (exported for the daemon's
 // startup log and the smoke tool; the same numbers are in /metrics).
 func (s *Server) RecoveryStats() (recovered, requeued uint64) {
-	s.metrics.mu.Lock()
-	defer s.metrics.mu.Unlock()
-	return s.metrics.recovered, s.metrics.requeued
+	return s.metrics.recovered.Load(), s.metrics.requeued.Load()
 }

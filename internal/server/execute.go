@@ -81,7 +81,8 @@ func (s *Server) execute(ctx context.Context, c *compiledSpec, progress io.Write
 		if err := suite.Err(); err != nil {
 			return nil, err
 		}
-		s.metrics.addFaults(suite.TotalFaults(), suite.TotalRecoveries())
+		s.metrics.faults.Add(suite.TotalFaults())
+		s.metrics.recoveries.Add(suite.TotalRecoveries())
 		suite.Curves(&buf)
 
 	case KindTasks:
@@ -140,7 +141,8 @@ func (s *Server) executeRun(c *compiledSpec, buf *bytes.Buffer) ([]byte, error) 
 		r.Wall, float64(r.Wall)/(p.ClockGHz*1e6), p.ClockGHz)
 	fmt.Fprintf(buf, "breakdown:  %s\n", r.Breakdown.String())
 	if c.faults != nil {
-		s.metrics.addFaults(r.Faults, r.Recoveries)
+		s.metrics.faults.Add(r.Faults)
+		s.metrics.recoveries.Add(r.Recoveries)
 		fmt.Fprintf(buf, "faults:     %d injected (plan %s)\n", r.Faults, c.faults.String())
 	}
 	if c.spec.Mode == "slipstream" {

@@ -1,19 +1,25 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Live metrics in the Prometheus text exposition format, hand-rolled so
 // the repository stays dependency-free. Everything is exported under the
-// slipd_ prefix: job state gauges, queue depth, run counters, cache
-// counters/ratio, and per-label host-side run latency histograms (the
-// label is the kernel for single runs and the suite kind otherwise).
+// slipd_ prefix: event counters, job state gauges, queue depth, cache
+// counters/ratio, fleet, tenant and campaign state, and per-label
+// host-side run latency histograms (the label is the kernel for single
+// runs and the suite kind otherwise). Counters are incremented where
+// their event happens; everything else is read from the state the
+// server already owns when /metrics is scraped.
 
 // latencyBuckets are the histogram upper bounds in seconds. Simulated
 // kernels at test scale finish in milliseconds; paper-scale suites take
@@ -36,142 +42,24 @@ func (h *histogram) observe(v float64) {
 	h.total++
 }
 
+// metrics holds the event counters and the run-latency histograms.
 type metrics struct {
-	mu sync.Mutex
+	submitted   atomic.Uint64 // jobs registered by a submission (cache hits included)
+	deduped     atomic.Uint64 // submissions coalesced onto an in-flight job
+	runs        atomic.Uint64 // underlying simulation executions started
+	shed        atomic.Uint64 // submissions 503'd because the queue was full
+	panics      atomic.Uint64 // worker panics recovered (job failed, worker lived)
+	timeouts    atomic.Uint64 // jobs failed by the per-job timeout
+	faults      atomic.Uint64 // faults injected by fault-plan runs
+	recoveries  atomic.Uint64 // divergence recoveries observed in fault-plan runs
+	recovered   atomic.Uint64 // jobs rehydrated from the journal in a terminal state
+	requeued    atomic.Uint64 // crash-interrupted jobs put back on the queue at startup
+	retries     atomic.Uint64 // executions of a job beyond its first attempt
+	journalErrs atomic.Uint64 // journal/store writes that failed (durability degraded)
+	localFalls  atomic.Uint64 // jobs a coordinator executed locally for want of workers
 
-	jobsByState map[State]int
-	submitted   uint64 // POST /jobs accepted
-	deduped     uint64 // submissions coalesced onto an in-flight job
-	runs        uint64 // underlying simulation executions started
-	shed        uint64 // submissions 503'd because the queue was full
-	panics      uint64 // worker panics recovered (job failed, worker lived)
-	timeouts    uint64 // jobs failed by the per-job timeout
-	faultsInj   uint64 // faults injected by fault-plan runs
-	recoveries  uint64 // divergence recoveries observed in fault-plan runs
-	recovered   uint64 // jobs rehydrated from the journal in a terminal state
-	requeued    uint64 // crash-interrupted jobs put back on the queue at startup
-	retries     uint64 // executions of a job beyond its first attempt
-	journalErrs uint64 // journal/store writes that failed (durability degraded)
-	localFalls  uint64 // jobs a coordinator executed locally for want of workers
-	replShed    uint64 // submissions 503'd because replication lagged every peer
-	latency     map[string]*histogram
-}
-
-func newMetrics() *metrics {
-	return &metrics{jobsByState: map[State]int{}, latency: map[string]*histogram{}}
-}
-
-// jobCreated records a new job entering the given state.
-func (m *metrics) jobCreated(st State) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.submitted++
-	m.jobsByState[st]++
-}
-
-// jobTransition moves one job between state gauges.
-func (m *metrics) jobTransition(from, to State) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.jobsByState[from]--
-	m.jobsByState[to]++
-}
-
-// dedupHit records a submission answered by an already in-flight job.
-func (m *metrics) dedupHit() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.deduped++
-}
-
-// runStarted records one underlying simulation execution.
-func (m *metrics) runStarted() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.runs++
-}
-
-// runsTotal reads the execution counter (used by the single-flight test).
-func (m *metrics) runsTotal() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.runs
-}
-
-// requestShed records a submission rejected because the queue was full.
-func (m *metrics) requestShed() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.shed++
-}
-
-// panicked records a worker panic that was recovered.
-func (m *metrics) panicked() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.panics++
-}
-
-// timedOut records a job failed by the per-job timeout.
-func (m *metrics) timedOut() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.timeouts++
-}
-
-// jobRestored bumps only the state gauge for a job rehydrated at startup
-// (unlike jobCreated it leaves the submission counter alone: the job was
-// counted by the process that first accepted it).
-func (m *metrics) jobRestored(st State, requeue bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.jobsByState[st]++
-	if requeue {
-		m.requeued++
-	} else {
-		m.recovered++
-	}
-}
-
-// retried records an execution of a job beyond its first attempt.
-func (m *metrics) retried() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.retries++
-}
-
-// journalError records a failed journal or result-store write. The
-// daemon keeps serving from memory; durability is degraded, not lost —
-// at worst the next restart re-executes work.
-func (m *metrics) journalError() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.journalErrs++
-}
-
-// localFallback records a job a coordinator ran in-process because no
-// worker could take it (the degraded path).
-func (m *metrics) localFallback() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.localFalls++
-}
-
-// replicationShed records a submission refused under replication-lag
-// backpressure.
-func (m *metrics) replicationShed() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.replShed++
-}
-
-// addFaults accumulates a fault-plan run's injected-fault and recovery
-// counts.
-func (m *metrics) addFaults(injected, recovered uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.faultsInj += injected
-	m.recoveries += recovered
+	mu      sync.Mutex // guards latency
+	latency map[string]*histogram
 }
 
 // observeLatency records a completed run's host wall-clock under a label.
@@ -186,17 +74,35 @@ func (m *metrics) observeLatency(label string, d time.Duration) {
 	h.observe(d.Seconds())
 }
 
-// durabilityStats carries the point-in-time durability gauges into the
-// exposition: journal size and disk-store lookup counters (all zero when
-// the daemon runs without a data dir).
-type durabilityStats struct {
-	JournalBytes int64
-	StoreHits    uint64
-	StoreMisses  uint64
+// family is one metric family of the exposition; sample one line of it.
+type family struct {
+	name, help, typ string
+	samples         []sample
 }
 
-// write renders the exposition. Series are emitted in sorted order so the
-// output is deterministic and diffable.
+type sample struct {
+	suffix string   // appended to the family name (histogram series)
+	labels []string // name, value, name, value, ...
+	value  string
+}
+
+func counter(name, help string, samples ...sample) family {
+	return family{name, help, "counter", samples}
+}
+
+func gauge(name, help string, samples ...sample) family {
+	return family{name, help, "gauge", samples}
+}
+
+// num is an integer sample, ratio a fraction printed to four places.
+func num[T int | int64 | uint64](v T, labels ...string) sample {
+	return sample{labels: labels, value: fmt.Sprint(v)}
+}
+
+func ratio(v float64, labels ...string) sample {
+	return sample{labels: labels, value: fmt.Sprintf("%.4f", v)}
+}
+
 // breakerValue maps a PeerStatus.Breaker name onto the gauge scale
 // (0 closed, 1 half-open, 2 open).
 func breakerValue(name string) int {
@@ -210,208 +116,149 @@ func breakerValue(name string) int {
 	}
 }
 
-func (m *metrics) write(w io.Writer, queueDepth int, cache CacheStats, dur durabilityStats, cluster *ClusterStats, chaos func() uint64, tenants []tenantStat, campaigns []campaignStat) {
+// families builds the exposition table. Families appear in a fixed
+// order; fleet, tenant and campaign families only once there is
+// something to report.
+func (s *Server) families() []family {
+	m := s.metrics
+	var journalBytes int64
+	var storeHits, storeMisses uint64
+	if s.journal != nil {
+		journalBytes = s.journal.Size()
+	}
+	if s.store != nil {
+		storeHits, storeMisses = s.store.Stats()
+	}
+	fams := []family{
+		counter("slipd_jobs_submitted_total", "Jobs accepted via POST /jobs.", num(m.submitted.Load())),
+		counter("slipd_jobs_deduplicated_total", "Submissions coalesced onto an in-flight identical job.", num(m.deduped.Load())),
+		counter("slipd_runs_total", "Underlying simulation executions (cache misses that ran).", num(m.runs.Load())),
+		counter("slipd_requests_shed_total", "Submissions rejected 503 because the job queue was full.", num(m.shed.Load())),
+		counter("slipd_panics_total", "Worker panics recovered (the job failed; the worker survived).", num(m.panics.Load())),
+		counter("slipd_timeouts_total", "Jobs failed by the per-job timeout.", num(m.timeouts.Load())),
+		counter("slipd_faults_injected_total", "Faults injected by fault-plan and chaos runs.", num(m.faults.Load())),
+		counter("slipd_recoveries_total", "Slipstream divergence recoveries observed in fault-plan and chaos runs.", num(m.recoveries.Load())),
+		counter("slipd_jobs_recovered_total", "Jobs rehydrated from the journal in a terminal state at startup.", num(m.recovered.Load())),
+		counter("slipd_jobs_requeued_total", "Crash-interrupted jobs put back on the queue at startup.", num(m.requeued.Load())),
+		counter("slipd_retries_total", "Executions of a job beyond its first attempt.", num(m.retries.Load())),
+		counter("slipd_journal_errors_total", "Failed journal or result-store writes (durability degraded).", num(m.journalErrs.Load())),
+		gauge("slipd_journal_bytes", "On-disk size of the write-ahead job journal.", num(journalBytes)),
+		counter("slipd_store_hits_total", "Disk result-store hits (reads served without a run).", num(storeHits)),
+		counter("slipd_store_misses_total", "Disk result-store misses.", num(storeMisses)),
+	}
+
+	if cs := s.clusterStats(); cs != nil {
+		fams = append(fams,
+			gauge("slipd_workers", "Fleet workers by liveness, judged from claim polls, lease renewals and reports.",
+				num(cs.Live, "state", "live"), num(cs.Dead, "state", "dead")),
+			counter("slipd_claims_total", "Claim-table outcomes: leases granted, claims settled done/failed, duplicate terminal reports discarded.",
+				num(cs.ClaimsGranted, "outcome", "granted"), num(cs.ClaimsCompleted, "outcome", "done"),
+				num(cs.ClaimsFailed, "outcome", "failed"), num(cs.ClaimsDuplicate, "outcome", "duplicate")),
+			counter("slipd_lease_expirations_total", "Claim leases that expired and went back to pending for reclaim.", num(cs.LeaseExpirations)),
+			counter("slipd_local_fallbacks_total", "Jobs the coordinator executed in-process because no worker could take them.", num(m.localFalls.Load())),
+		)
+		if len(cs.Peers) > 0 {
+			var breakers []sample
+			for _, p := range cs.Peers {
+				breakers = append(breakers, num(breakerValue(p.Breaker), "peer", p.URL))
+			}
+			fams = append(fams, gauge("slipd_breaker_state", "Replication circuit breaker per peer (0 closed, 1 half-open, 2 open).", breakers...))
+		}
+	}
+
+	// Job states are counted from the jobs themselves, taking s.mu then
+	// each j.mu as handleList does, so they always agree with GET /jobs.
+	byState := map[State]int{}
+	s.mu.Lock()
+	for _, j := range s.jobs {
+		byState[j.stateNow()]++
+	}
+	s.mu.Unlock()
+	var jobs []sample
+	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed} {
+		jobs = append(jobs, num(byState[st], "state", string(st)))
+	}
+	cache := s.cache.Stats()
+	fams = append(fams,
+		gauge("slipd_jobs", "Jobs currently in each state.", jobs...),
+		gauge("slipd_queue_depth", "Jobs waiting for a worker.", num(s.sched.depth())),
+		counter("slipd_cache_hits_total", "Result cache hits.", num(cache.Hits)),
+		counter("slipd_cache_misses_total", "Result cache misses.", num(cache.Misses)),
+		counter("slipd_cache_evictions_total", "Entries evicted to hold the byte budget.", num(cache.Evictions)),
+		gauge("slipd_cache_bytes", "Bytes currently cached.", num(cache.Bytes)),
+		gauge("slipd_cache_entries", "Entries currently cached.", num(cache.Entries)),
+		gauge("slipd_cache_hit_ratio", "Hits over lookups since start.", ratio(cache.HitRatio())),
+	)
+
+	// Tenant families: admission-control outcomes and fair-queue state,
+	// in tenant-name order.
+	if tenants := s.sched.stats(); len(tenants) > 0 {
+		var weight, queued, admitted, limited, dispatched []sample
+		for _, t := range tenants {
+			weight = append(weight, num(t.Weight, "tenant", t.Name))
+			queued = append(queued, num(t.Queued, "tenant", t.Name))
+			admitted = append(admitted, num(t.Admitted, "tenant", t.Name))
+			limited = append(limited,
+				num(t.LimitedRate, "tenant", t.Name, "reason", "rate"),
+				num(t.LimitedBacklog, "tenant", t.Name, "reason", "backlog"))
+			dispatched = append(dispatched, num(t.Dispatched, "tenant", t.Name))
+		}
+		fams = append(fams,
+			gauge("slipd_tenant_weight", "Weighted-fair-queueing weight per tenant.", weight...),
+			gauge("slipd_tenant_queued", "Jobs a tenant currently has waiting in the fair queue.", queued...),
+			counter("slipd_tenant_admitted_total", "Submissions admitted past a tenant's token bucket and backlog bound.", admitted...),
+			counter("slipd_tenant_limited_total", "Submissions refused 429 per tenant, by admission check.", limited...),
+			counter("slipd_tenant_dispatched_total", "Jobs handed to workers per tenant by the fair scheduler.", dispatched...),
+		)
+	}
+
+	// Campaign families: DAG totals by state, cell outcomes, and the
+	// per-campaign cache-collapse ratio, in creation order.
+	s.campMu.Lock()
+	camps := make([]*campaign, 0, len(s.campOrder))
+	for _, id := range s.campOrder {
+		camps = append(camps, s.campaigns[id])
+	}
+	s.campMu.Unlock()
+	if len(camps) > 0 {
+		campsByState := map[string]int{}
+		var done, failed, skipped, collapsed int
+		var ratios []sample
+		for _, c := range camps {
+			c.mu.Lock()
+			campsByState[c.state]++
+			done += c.done
+			failed += c.failed
+			skipped += c.skipped
+			collapsed += c.collapsed
+			r := 0.0
+			if len(c.order) > 0 {
+				r = float64(c.collapsed) / float64(len(c.order))
+			}
+			ratios = append(ratios, ratio(r, "campaign", c.ID))
+			c.mu.Unlock()
+		}
+		var states []sample
+		for _, st := range []string{campaignRunning, campaignDone, campaignFailed, campaignCancelled} {
+			states = append(states, num(campsByState[st], "state", st))
+		}
+		fams = append(fams,
+			gauge("slipd_campaigns", "Campaigns by state.", states...),
+			counter("slipd_campaign_cells_total", "Campaign cells settled, by outcome (collapsed counts done cells served by cache or dedup).",
+				num(done, "outcome", "done"), num(failed, "outcome", "failed"),
+				num(skipped, "outcome", "skipped"), num(collapsed, "outcome", "collapsed")),
+			gauge("slipd_campaign_cache_collapse_ratio", "Fraction of a campaign's cells served without a fresh run.", ratios...),
+		)
+	}
+
+	return append(fams, m.latencyFamily())
+}
+
+// latencyFamily renders the run-latency histograms, labels sorted.
+func (m *metrics) latencyFamily() family {
+	f := family{name: "slipd_run_seconds", help: "Host wall-clock of completed runs by kernel or suite kind.", typ: "histogram"}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP slipd_jobs_submitted_total Jobs accepted via POST /jobs.")
-	fmt.Fprintln(w, "# TYPE slipd_jobs_submitted_total counter")
-	fmt.Fprintf(w, "slipd_jobs_submitted_total %d\n", m.submitted)
-
-	fmt.Fprintln(w, "# HELP slipd_jobs_deduplicated_total Submissions coalesced onto an in-flight identical job.")
-	fmt.Fprintln(w, "# TYPE slipd_jobs_deduplicated_total counter")
-	fmt.Fprintf(w, "slipd_jobs_deduplicated_total %d\n", m.deduped)
-
-	fmt.Fprintln(w, "# HELP slipd_runs_total Underlying simulation executions (cache misses that ran).")
-	fmt.Fprintln(w, "# TYPE slipd_runs_total counter")
-	fmt.Fprintf(w, "slipd_runs_total %d\n", m.runs)
-
-	fmt.Fprintln(w, "# HELP slipd_requests_shed_total Submissions rejected 503 because the job queue was full.")
-	fmt.Fprintln(w, "# TYPE slipd_requests_shed_total counter")
-	fmt.Fprintf(w, "slipd_requests_shed_total %d\n", m.shed)
-
-	fmt.Fprintln(w, "# HELP slipd_panics_total Worker panics recovered (the job failed; the worker survived).")
-	fmt.Fprintln(w, "# TYPE slipd_panics_total counter")
-	fmt.Fprintf(w, "slipd_panics_total %d\n", m.panics)
-
-	fmt.Fprintln(w, "# HELP slipd_timeouts_total Jobs failed by the per-job timeout.")
-	fmt.Fprintln(w, "# TYPE slipd_timeouts_total counter")
-	fmt.Fprintf(w, "slipd_timeouts_total %d\n", m.timeouts)
-
-	fmt.Fprintln(w, "# HELP slipd_faults_injected_total Faults injected by fault-plan and chaos runs.")
-	fmt.Fprintln(w, "# TYPE slipd_faults_injected_total counter")
-	fmt.Fprintf(w, "slipd_faults_injected_total %d\n", m.faultsInj)
-
-	fmt.Fprintln(w, "# HELP slipd_recoveries_total Slipstream divergence recoveries observed in fault-plan and chaos runs.")
-	fmt.Fprintln(w, "# TYPE slipd_recoveries_total counter")
-	fmt.Fprintf(w, "slipd_recoveries_total %d\n", m.recoveries)
-
-	fmt.Fprintln(w, "# HELP slipd_jobs_recovered_total Jobs rehydrated from the journal in a terminal state at startup.")
-	fmt.Fprintln(w, "# TYPE slipd_jobs_recovered_total counter")
-	fmt.Fprintf(w, "slipd_jobs_recovered_total %d\n", m.recovered)
-
-	fmt.Fprintln(w, "# HELP slipd_jobs_requeued_total Crash-interrupted jobs put back on the queue at startup.")
-	fmt.Fprintln(w, "# TYPE slipd_jobs_requeued_total counter")
-	fmt.Fprintf(w, "slipd_jobs_requeued_total %d\n", m.requeued)
-
-	fmt.Fprintln(w, "# HELP slipd_retries_total Executions of a job beyond its first attempt.")
-	fmt.Fprintln(w, "# TYPE slipd_retries_total counter")
-	fmt.Fprintf(w, "slipd_retries_total %d\n", m.retries)
-
-	fmt.Fprintln(w, "# HELP slipd_journal_errors_total Failed journal or result-store writes (durability degraded).")
-	fmt.Fprintln(w, "# TYPE slipd_journal_errors_total counter")
-	fmt.Fprintf(w, "slipd_journal_errors_total %d\n", m.journalErrs)
-
-	fmt.Fprintln(w, "# HELP slipd_journal_bytes On-disk size of the write-ahead job journal.")
-	fmt.Fprintln(w, "# TYPE slipd_journal_bytes gauge")
-	fmt.Fprintf(w, "slipd_journal_bytes %d\n", dur.JournalBytes)
-
-	fmt.Fprintln(w, "# HELP slipd_store_hits_total Disk result-store hits (reads served without a run).")
-	fmt.Fprintln(w, "# TYPE slipd_store_hits_total counter")
-	fmt.Fprintf(w, "slipd_store_hits_total %d\n", dur.StoreHits)
-
-	fmt.Fprintln(w, "# HELP slipd_store_misses_total Disk result-store misses.")
-	fmt.Fprintln(w, "# TYPE slipd_store_misses_total counter")
-	fmt.Fprintf(w, "slipd_store_misses_total %d\n", dur.StoreMisses)
-
-	// Cluster series appear only on a coordinator; a plain slipd has no
-	// fleet to report on.
-	if cluster != nil {
-		fmt.Fprintln(w, "# HELP slipd_workers Fleet workers by liveness, judged from claim polls, lease renewals and reports.")
-		fmt.Fprintln(w, "# TYPE slipd_workers gauge")
-		fmt.Fprintf(w, "slipd_workers{state=\"live\"} %d\n", cluster.Live)
-		fmt.Fprintf(w, "slipd_workers{state=\"dead\"} %d\n", cluster.Dead)
-
-		fmt.Fprintln(w, "# HELP slipd_claims_total Claim-table outcomes: leases granted, claims settled done/failed, duplicate terminal reports discarded.")
-		fmt.Fprintln(w, "# TYPE slipd_claims_total counter")
-		fmt.Fprintf(w, "slipd_claims_total{outcome=\"granted\"} %d\n", cluster.ClaimsGranted)
-		fmt.Fprintf(w, "slipd_claims_total{outcome=\"done\"} %d\n", cluster.ClaimsCompleted)
-		fmt.Fprintf(w, "slipd_claims_total{outcome=\"failed\"} %d\n", cluster.ClaimsFailed)
-		fmt.Fprintf(w, "slipd_claims_total{outcome=\"duplicate\"} %d\n", cluster.ClaimsDuplicate)
-
-		fmt.Fprintln(w, "# HELP slipd_lease_expirations_total Claim leases that expired and went back to pending for reclaim.")
-		fmt.Fprintln(w, "# TYPE slipd_lease_expirations_total counter")
-		fmt.Fprintf(w, "slipd_lease_expirations_total %d\n", cluster.LeaseExpirations)
-
-		fmt.Fprintln(w, "# HELP slipd_local_fallbacks_total Jobs the coordinator executed in-process because no worker could take them.")
-		fmt.Fprintln(w, "# TYPE slipd_local_fallbacks_total counter")
-		fmt.Fprintf(w, "slipd_local_fallbacks_total %d\n", m.localFalls)
-
-		fmt.Fprintln(w, "# HELP slipd_replication_shed_total Submissions refused 503 because replication lagged every peer past the bound.")
-		fmt.Fprintln(w, "# TYPE slipd_replication_shed_total counter")
-		fmt.Fprintf(w, "slipd_replication_shed_total %d\n", m.replShed)
-
-		if len(cluster.Peers) > 0 {
-			fmt.Fprintln(w, "# HELP slipd_breaker_state Replication circuit breaker per peer (0 closed, 1 half-open, 2 open).")
-			fmt.Fprintln(w, "# TYPE slipd_breaker_state gauge")
-			for _, p := range cluster.Peers {
-				fmt.Fprintf(w, "slipd_breaker_state{peer=%q} %d\n", p.URL, breakerValue(p.Breaker))
-			}
-		}
-	}
-
-	if chaos != nil {
-		fmt.Fprintln(w, "# HELP slipd_chaos_injected_total Control-plane network faults manufactured by the netchaos layer in this process.")
-		fmt.Fprintln(w, "# TYPE slipd_chaos_injected_total counter")
-		fmt.Fprintf(w, "slipd_chaos_injected_total %d\n", chaos())
-	}
-
-	fmt.Fprintln(w, "# HELP slipd_jobs Jobs currently in each state.")
-	fmt.Fprintln(w, "# TYPE slipd_jobs gauge")
-	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed} {
-		fmt.Fprintf(w, "slipd_jobs{state=%q} %d\n", st, m.jobsByState[st])
-	}
-
-	fmt.Fprintln(w, "# HELP slipd_queue_depth Jobs waiting for a worker.")
-	fmt.Fprintln(w, "# TYPE slipd_queue_depth gauge")
-	fmt.Fprintf(w, "slipd_queue_depth %d\n", queueDepth)
-
-	fmt.Fprintln(w, "# HELP slipd_cache_hits_total Result cache hits.")
-	fmt.Fprintln(w, "# TYPE slipd_cache_hits_total counter")
-	fmt.Fprintf(w, "slipd_cache_hits_total %d\n", cache.Hits)
-	fmt.Fprintln(w, "# HELP slipd_cache_misses_total Result cache misses.")
-	fmt.Fprintln(w, "# TYPE slipd_cache_misses_total counter")
-	fmt.Fprintf(w, "slipd_cache_misses_total %d\n", cache.Misses)
-	fmt.Fprintln(w, "# HELP slipd_cache_evictions_total Entries evicted to hold the byte budget.")
-	fmt.Fprintln(w, "# TYPE slipd_cache_evictions_total counter")
-	fmt.Fprintf(w, "slipd_cache_evictions_total %d\n", cache.Evictions)
-	fmt.Fprintln(w, "# HELP slipd_cache_bytes Bytes currently cached.")
-	fmt.Fprintln(w, "# TYPE slipd_cache_bytes gauge")
-	fmt.Fprintf(w, "slipd_cache_bytes %d\n", cache.Bytes)
-	fmt.Fprintln(w, "# HELP slipd_cache_entries Entries currently cached.")
-	fmt.Fprintln(w, "# TYPE slipd_cache_entries gauge")
-	fmt.Fprintf(w, "slipd_cache_entries %d\n", cache.Entries)
-	fmt.Fprintln(w, "# HELP slipd_cache_hit_ratio Hits over lookups since start.")
-	fmt.Fprintln(w, "# TYPE slipd_cache_hit_ratio gauge")
-	fmt.Fprintf(w, "slipd_cache_hit_ratio %.4f\n", cache.HitRatio())
-
-	// Tenant series: admission-control outcomes and fair-queue state per
-	// tenant. The scheduler hands them over pre-sorted by tenant name.
-	if len(tenants) > 0 {
-		fmt.Fprintln(w, "# HELP slipd_tenant_weight Weighted-fair-queueing weight per tenant.")
-		fmt.Fprintln(w, "# TYPE slipd_tenant_weight gauge")
-		for _, t := range tenants {
-			fmt.Fprintf(w, "slipd_tenant_weight{tenant=%q} %d\n", t.Name, t.Weight)
-		}
-		fmt.Fprintln(w, "# HELP slipd_tenant_queued Jobs a tenant currently has waiting in the fair queue.")
-		fmt.Fprintln(w, "# TYPE slipd_tenant_queued gauge")
-		for _, t := range tenants {
-			fmt.Fprintf(w, "slipd_tenant_queued{tenant=%q} %d\n", t.Name, t.Queued)
-		}
-		fmt.Fprintln(w, "# HELP slipd_tenant_admitted_total Submissions admitted past a tenant's token bucket and backlog bound.")
-		fmt.Fprintln(w, "# TYPE slipd_tenant_admitted_total counter")
-		for _, t := range tenants {
-			fmt.Fprintf(w, "slipd_tenant_admitted_total{tenant=%q} %d\n", t.Name, t.Admitted)
-		}
-		fmt.Fprintln(w, "# HELP slipd_tenant_limited_total Submissions refused 429 per tenant, by admission check.")
-		fmt.Fprintln(w, "# TYPE slipd_tenant_limited_total counter")
-		for _, t := range tenants {
-			fmt.Fprintf(w, "slipd_tenant_limited_total{tenant=%q,reason=\"rate\"} %d\n", t.Name, t.LimitedRate)
-			fmt.Fprintf(w, "slipd_tenant_limited_total{tenant=%q,reason=\"backlog\"} %d\n", t.Name, t.LimitedBacklog)
-		}
-		fmt.Fprintln(w, "# HELP slipd_tenant_dispatched_total Jobs handed to workers per tenant by the fair scheduler.")
-		fmt.Fprintln(w, "# TYPE slipd_tenant_dispatched_total counter")
-		for _, t := range tenants {
-			fmt.Fprintf(w, "slipd_tenant_dispatched_total{tenant=%q} %d\n", t.Name, t.Dispatched)
-		}
-	}
-
-	// Campaign series: DAG totals by state, cell outcomes, and the
-	// per-campaign cache-collapse ratio.
-	if len(campaigns) > 0 {
-		byState := map[string]int{}
-		var cellsDone, cellsFailed, cellsSkipped, cellsCollapsed int
-		for _, c := range campaigns {
-			byState[c.State]++
-			cellsDone += c.Done
-			cellsFailed += c.Failed
-			cellsSkipped += c.Skipped
-			cellsCollapsed += c.Collapsed
-		}
-		fmt.Fprintln(w, "# HELP slipd_campaigns Campaigns by state.")
-		fmt.Fprintln(w, "# TYPE slipd_campaigns gauge")
-		for _, st := range []string{campaignRunning, campaignDone, campaignFailed, campaignCancelled} {
-			fmt.Fprintf(w, "slipd_campaigns{state=%q} %d\n", st, byState[st])
-		}
-		fmt.Fprintln(w, "# HELP slipd_campaign_cells_total Campaign cells settled, by outcome (collapsed counts done cells served by cache or dedup).")
-		fmt.Fprintln(w, "# TYPE slipd_campaign_cells_total counter")
-		fmt.Fprintf(w, "slipd_campaign_cells_total{outcome=\"done\"} %d\n", cellsDone)
-		fmt.Fprintf(w, "slipd_campaign_cells_total{outcome=\"failed\"} %d\n", cellsFailed)
-		fmt.Fprintf(w, "slipd_campaign_cells_total{outcome=\"skipped\"} %d\n", cellsSkipped)
-		fmt.Fprintf(w, "slipd_campaign_cells_total{outcome=\"collapsed\"} %d\n", cellsCollapsed)
-		fmt.Fprintln(w, "# HELP slipd_campaign_cache_collapse_ratio Fraction of a campaign's cells served without a fresh run.")
-		fmt.Fprintln(w, "# TYPE slipd_campaign_cache_collapse_ratio gauge")
-		for _, c := range campaigns {
-			ratio := 0.0
-			if c.Total > 0 {
-				ratio = float64(c.Collapsed) / float64(c.Total)
-			}
-			fmt.Fprintf(w, "slipd_campaign_cache_collapse_ratio{campaign=%q} %.4f\n", c.ID, ratio)
-		}
-	}
-
-	fmt.Fprintln(w, "# HELP slipd_run_seconds Host wall-clock of completed runs by kernel or suite kind.")
-	fmt.Fprintln(w, "# TYPE slipd_run_seconds histogram")
 	labels := make([]string, 0, len(m.latency))
 	for l := range m.latency {
 		labels = append(labels, l)
@@ -422,13 +269,47 @@ func (m *metrics) write(w io.Writer, queueDepth int, cache CacheStats, dur durab
 		cum := uint64(0)
 		for i, le := range latencyBuckets {
 			cum += h.counts[i]
-			fmt.Fprintf(w, "slipd_run_seconds_bucket{job=%q,le=%q} %d\n", l, formatLE(le), cum)
+			f.samples = append(f.samples, sample{"_bucket", []string{"job", l, "le", formatLE(le)}, fmt.Sprint(cum)})
 		}
 		cum += h.counts[len(latencyBuckets)]
-		fmt.Fprintf(w, "slipd_run_seconds_bucket{job=%q,le=\"+Inf\"} %d\n", l, cum)
-		fmt.Fprintf(w, "slipd_run_seconds_sum{job=%q} %g\n", l, h.sum)
-		fmt.Fprintf(w, "slipd_run_seconds_count{job=%q} %d\n", l, h.total)
+		f.samples = append(f.samples,
+			sample{"_bucket", []string{"job", l, "le", "+Inf"}, fmt.Sprint(cum)},
+			sample{"_sum", []string{"job", l}, fmt.Sprintf("%g", h.sum)},
+			sample{"_count", []string{"job", l}, fmt.Sprint(h.total)})
 	}
+	return f
+}
+
+// labelEscaper escapes a label value the way the text format defines:
+// backslash, double quote and newline are the only escapes it has.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// writeExposition writes every family: HELP and TYPE lines, then one
+// line per sample. Label values are escaped and made valid UTF-8, since
+// some (tenant names from unrecognized API keys) come from clients.
+func writeExposition(w io.Writer, fams []family) error {
+	bw := bufio.NewWriter(w)
+	for _, f := range fams {
+		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		for _, smp := range f.samples {
+			bw.WriteString(f.name + smp.suffix)
+			for i := 0; i < len(smp.labels); i += 2 {
+				if i == 0 {
+					bw.WriteByte('{')
+				} else {
+					bw.WriteByte(',')
+				}
+				bw.WriteString(smp.labels[i] + `="`)
+				labelEscaper.WriteString(bw, strings.ToValidUTF8(smp.labels[i+1], "\uFFFD"))
+				bw.WriteByte('"')
+			}
+			if len(smp.labels) > 0 {
+				bw.WriteByte('}')
+			}
+			bw.WriteString(" " + smp.value + "\n")
+		}
+	}
+	return bw.Flush()
 }
 
 // formatLE renders a bucket bound the way Prometheus expects (no

@@ -52,10 +52,6 @@ type Config struct {
 	// liveness and failover) and only falls back to local
 	// in-process execution when the backend reports ErrNoWorkers.
 	Cluster Cluster
-	// ChaosInjected, when set, is sampled by /metrics into the
-	// slipd_chaos_injected_total counter — the number of control-plane
-	// network faults the netchaos layer has manufactured in this process.
-	ChaosInjected func() uint64
 	// Tenants configures named tenants with API keys and per-tenant
 	// admission limits. Requests without a recognized key run as the
 	// shared default tenant under TenantDefaults.
@@ -178,20 +174,7 @@ type submitResponse struct {
 var (
 	ErrDraining  = errors.New("server is draining")
 	ErrQueueFull = errors.New("job queue is full")
-	// ErrBackpressure marks a submission shed because replication to
-	// every peer coordinator is lagging past the configured bound —
-	// accepting new work would mean work only this node knows about.
-	ErrBackpressure = errors.New("replication lagging; new submissions shed")
 )
-
-// backpressureError carries the suggested retry delay alongside the
-// ErrBackpressure identity (errors.Is matches the sentinel).
-type backpressureError struct{ retryAfter time.Duration }
-
-func (e *backpressureError) Error() string {
-	return fmt.Sprintf("%v (retry in %s)", ErrBackpressure, e.retryAfter)
-}
-func (e *backpressureError) Unwrap() error { return ErrBackpressure }
 
 // SubmitOutcome reports how a submission was answered.
 type SubmitOutcome struct {
@@ -256,14 +239,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Retry-After tells well-behaved clients to back off instead of
 		// hammering.
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrBackpressure):
-		secs := 1
-		var bp *backpressureError
-		if errors.As(err, &bp) && bp.retryAfter > time.Second {
-			secs = int((bp.retryAfter + time.Second - 1) / time.Second)
-		}
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 		httpError(w, http.StatusServiceUnavailable, err)
 	case out.Dedup:
 		writeJSON(w, http.StatusOK, submitResponse{Job: out.view, Dedup: true})
@@ -342,7 +317,7 @@ func (s *Server) register(c *compiledSpec, key string, sub submission) (*Job, Su
 	// this submission too. Checked before the cache so a burst of
 	// identical submissions costs one run, not one run plus misses.
 	if j, ok := s.inflight[key]; ok {
-		s.metrics.dedupHit()
+		s.metrics.deduped.Add(1)
 		s.mu.Unlock()
 		// A higher-priority identical submission lifts the queued job
 		// out of the bulk class instead of waiting behind it.
@@ -363,23 +338,12 @@ func (s *Server) register(c *compiledSpec, key string, sub submission) (*Job, Su
 		// here or GET /jobs/{id}/events would stream forever without a
 		// terminal event.
 		j.broker.close()
-		s.metrics.jobCreated(StateDone)
+		s.metrics.submitted.Add(1)
 		// No fsync: losing this record costs a job-listing entry, not a
 		// result — the bytes are already durable under the key.
 		s.journalAppend(store.Record{Job: j.ID, Key: key, State: string(StateDone), Cached: true, Spec: specJSON(c.spec), Tenant: sub.tenant, Priority: PriorityName(sub.priority), Campaign: sub.campaign, Cell: sub.cell}, false)
 		s.mu.Unlock()
 		return j, SubmitOutcome{Cached: true, view: j.snapshot()}, nil
-	}
-
-	// Replication-lag backpressure: a coordinator whose peers are all
-	// stale refuses brand-new work. Dedup and cache answers above stay
-	// free — they add no state that could be lost with this node.
-	if sh, ok := s.cfg.Cluster.(Shedder); ok {
-		if retry, shed := sh.ShedNewJobs(); shed {
-			s.mu.Unlock()
-			s.metrics.replicationShed()
-			return nil, SubmitOutcome{}, &backpressureError{retryAfter: retry}
-		}
 	}
 
 	j := s.newJobLocked(key, c.spec, StateQueued, sub)
@@ -391,11 +355,11 @@ func (s *Server) register(c *compiledSpec, key string, sub submission) (*Job, Su
 		s.order = s.order[:len(s.order)-1]
 		s.mu.Unlock()
 		if errors.Is(err, ErrQueueFull) {
-			s.metrics.requestShed()
+			s.metrics.shed.Add(1)
 		}
 		return nil, SubmitOutcome{}, err
 	}
-	s.metrics.jobCreated(StateQueued)
+	s.metrics.submitted.Add(1)
 	s.journalAppend(store.Record{Job: j.ID, Key: key, State: string(StateQueued), Attempts: 1, Spec: specJSON(c.spec), Tenant: sub.tenant, Priority: PriorityName(sub.priority), Campaign: sub.campaign, Cell: sub.cell}, false)
 	s.mu.Unlock()
 	return j, SubmitOutcome{view: view}, nil
@@ -514,13 +478,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // cancelJob aborts a job (shared by DELETE /jobs/{id} and campaign
 // cancellation). A job cancelled while still queued settles
-// immediately: gauges, single-flight, its scheduler slot, and the
-// journal don't wait for a worker to skip it.
+// immediately: single-flight, its scheduler slot, its event stream and
+// the journal don't wait for a worker to skip it.
 func (s *Server) cancelJob(j *Job, reason string) {
 	was, ok := j.abort(reason)
 	if was == StateQueued && ok {
 		s.sched.remove(j) // free the tenant's backlog slot now
-		s.metrics.jobTransition(StateQueued, StateFailed)
 		s.clearInflight(j)
 		j.broker.close()
 		s.journalAppend(store.Record{Job: j.ID, Key: j.Key, State: journalStateCancelled, Error: reason}, true)
@@ -529,7 +492,7 @@ func (s *Server) cancelJob(j *Job, reason string) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.write(w, s.sched.depth(), s.cache.Stats(), s.durabilityStats(), s.clusterStats(), s.cfg.ChaosInjected, s.sched.stats(), s.campaignStats())
+	writeExposition(w, s.families())
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -570,15 +533,14 @@ func (s *Server) runJob(j *Job) {
 	if !j.tryStart(cancel) {
 		return // cancelled while queued; handleCancel settled it
 	}
-	s.metrics.jobTransition(StateQueued, StateRunning)
-	s.metrics.runStarted()
+	s.metrics.runs.Add(1)
 
 	j.mu.Lock()
 	spec := j.spec
 	attempts := j.attempts
 	j.mu.Unlock()
 	if attempts > 1 {
-		s.metrics.retried()
+		s.metrics.retries.Add(1)
 	}
 	s.journalAppend(store.Record{Job: j.ID, Key: j.Key, State: string(StateRunning), Attempts: attempts}, false)
 	c, err := compile(spec)
@@ -596,7 +558,7 @@ func (s *Server) runJob(j *Job) {
 		// A blown per-job deadline — not a shutdown or client cancel on
 		// the parent context — settles the job as a timeout.
 		if err != nil && execCtx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
-			s.metrics.timedOut()
+			s.metrics.timeouts.Add(1)
 			err = fmt.Errorf("job exceeded timeout %s: %v", s.cfg.JobTimeout, err)
 		}
 	}
@@ -612,12 +574,10 @@ func (s *Server) runJob(j *Job) {
 		s.cachePut(j.Key, result)
 		s.clearInflight(j)
 		j.finish(result, "")
-		s.metrics.jobTransition(StateRunning, StateDone)
 		s.journalAppend(store.Record{Job: j.ID, Key: j.Key, State: string(StateDone), Attempts: attempts}, true)
 	} else {
 		s.clearInflight(j)
 		j.finish(nil, err.Error())
-		s.metrics.jobTransition(StateRunning, StateFailed)
 		s.journalAppend(store.Record{Job: j.ID, Key: j.Key, State: string(StateFailed), Error: err.Error(), Attempts: attempts}, true)
 	}
 	if c != nil {
@@ -632,7 +592,7 @@ func (s *Server) runJob(j *Job) {
 func (s *Server) executeGuarded(ctx context.Context, c *compiledSpec, j *Job) (result []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.metrics.panicked()
+			s.metrics.panics.Add(1)
 			result, err = nil, fmt.Errorf("panic: %v", r)
 		}
 	}()
@@ -687,7 +647,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // RunsTotal reports how many underlying simulation executions have
 // started (exported for the single-flight acceptance test and smoke
 // tool assertions; the same number is in /metrics as slipd_runs_total).
-func (s *Server) RunsTotal() uint64 { return s.metrics.runsTotal() }
+func (s *Server) RunsTotal() uint64 { return s.metrics.runs.Load() }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
